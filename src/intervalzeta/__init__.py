@@ -23,6 +23,7 @@ from .kneading import (
     PMMap,
     kneading_determinant,
     kneading_matrix,
+    kneading_rational,
     theta_series,
     unimodal_kneading,
     unimodal_rational_form,

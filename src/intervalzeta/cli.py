@@ -13,11 +13,12 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import combinatorics as comb
 from . import cubicfam, fibmap, kneading, subshift, zeta
-from .series import RationalFn, TruncSeries, detect_eventual_periodicity, rf_to_series
+from .series import RationalFn, detect_eventual_periodicity, rf_to_series
 
 
 class DomainFailure(Exception):
@@ -71,18 +72,19 @@ def _emit(payload, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainFailure("cannot write --out: %s" % exc)
     else:
         sys.stdout.write(text)
 
 
-def _series_json(s: TruncSeries) -> dict:
-    return s.to_json()
-
-
-def _rf_json(rf: RationalFn) -> dict:
-    return rf.to_json()
+def _fraction_text(q: Fraction) -> str:
+    """str(q), also beyond the interpreter's limit on int-to-str digits."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else "%s/%s" % (text, Decimal(q.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ def _rf_json(rf: RationalFn) -> dict:
 
 
 def _cmd_comb_validate(args, cfg: RunConfig):
-    rho = comb.Combinatorics.from_text(args.rho)
+    rho = comb.Combinatorics(tuple(args.rho))
     pm = comb.is_pm(rho)
     if not pm:
         raise DomainFailure("adjacent equal entries at %d" % pm.witness, rho=list(rho))
@@ -129,8 +131,7 @@ def _cmd_comb_generate(args, cfg: RunConfig):
 
 
 def _cmd_comb_orbit(args, cfg: RunConfig):
-    rho = comb.Combinatorics.from_text(args.rho)
-    info = comb.orbit(rho, args.index)
+    info = comb.orbit(args.rho, args.index)
     _emit({"index": args.index, "preperiod": info.preperiod, "cycle": list(info.cycle)}, cfg)
 
 
@@ -140,26 +141,26 @@ def _cmd_comb_orbit(args, cfg: RunConfig):
 
 
 def _cmd_knead_det(args, cfg: RunConfig):
-    model = comb.pl_model(comb.Combinatorics.from_text(args.rho))
+    model = comb.pl_model(args.rho)
     pm = kneading.PMMap.from_pl_model(model)
-    det = kneading.kneading_determinant(pm, cfg.order)
-    cols = kneading.per_column_determinants(pm, cfg.order)
+    det = rf_to_series(kneading.kneading_rational(pm), cfg.order)
     payload = {
         "rho": list(model.rho),
         "shape": list(pm.shape),
-        "determinant": _series_json(det),
-        "per_column": [_series_json(c) for c in cols],
+        "determinant": det.to_json(),
+        # kneading_rational has checked that every deletable column agrees
+        "per_column": [det.to_json()] * (pm.modality + 1),
     }
     _emit(payload, cfg)
 
 
 def _cmd_knead_matrix(args, cfg: RunConfig):
-    model = comb.pl_model(comb.Combinatorics.from_text(args.rho))
+    model = comb.pl_model(args.rho)
     kd = kneading.kneading_matrix(model, cfg.order)
     payload = {
         "rho": list(model.rho),
         "shape": list(kd.shape),
-        "matrix": [[_series_json(e) for e in row] for row in kd.matrix],
+        "matrix": [[e.to_json() for e in row] for row in kd.matrix],
     }
     _emit(payload, cfg)
 
@@ -173,8 +174,8 @@ def _cmd_knead_unimodal(args, cfg: RunConfig):
     payload = {
         "prefix": list(prefix),
         "cycle": list(cycle),
-        "rational": _rf_json(rf),
-        "series": _series_json(series),
+        "rational": rf.to_json(),
+        "series": series.to_json(),
         "match": rf_to_series(rf, cfg.order).coeffs == series.coeffs,
     }
     _emit(payload, cfg)
@@ -188,7 +189,7 @@ def _cmd_knead_unimodal(args, cfg: RunConfig):
 def _cmd_zeta_from_counts(args, cfg: RunConfig):
     counts = args.counts
     order = min(cfg.order, len(counts))
-    _emit({"counts": counts, "zeta": _series_json(zeta.zeta_from_counts(counts, order))}, cfg)
+    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, order).to_json()}, cfg)
 
 
 def _cmd_zeta_sft(args, cfg: RunConfig):
@@ -199,17 +200,17 @@ def _cmd_zeta_sft(args, cfg: RunConfig):
 def _cmd_zeta_closed_form(args, cfg: RunConfig):
     rf = zeta.zeta_vu_closed_form(args.nu)
     counts = zeta.counts_from_zeta(rf, min(cfg.order, 24))
-    _emit({"nu": args.nu, "zeta": _rf_json(rf), "counts": counts}, cfg)
+    _emit({"nu": args.nu, "zeta": rf.to_json(), "counts": counts}, cfg)
 
 
 def _cmd_zeta_mt_check(args, cfg: RunConfig):
-    model = comb.pl_model(comb.Combinatorics.from_text(args.rho))
-    det = kneading.kneading_determinant(model, cfg.order)
+    model = comb.pl_model(args.rho)
+    det = kneading.kneading_rational(model)
     rf = RationalFn(tuple(args.zeta_num), tuple(args.zeta_den))
-    factors = zeta.mt_relation_check(rf, det, cfg.order)
+    factors = zeta.mt_relation_check(rf, det)
     if factors is None:
         raise DomainFailure("no cyclotomic factorization found", rho=list(model.rho))
-    _emit({"rho": list(model.rho), "zeta": _rf_json(rf), "phi_factors": factors}, cfg)
+    _emit({"rho": list(model.rho), "zeta": rf.to_json(), "phi_factors": factors}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +321,9 @@ def _cmd_fib_check(args, cfg: RunConfig):
         "structure": dict(structure.checks),
         "structure_ok": structure.ok,
         "diameters": {
-            "nu": [str(v) for v in diam.nu],
-            "C": [str(v) for v in diam.C],
-            "residuals": [str(v) for v in diam.residuals],
+            "nu": [_fraction_text(v) for v in diam.nu],
+            "C": [_fraction_text(v) for v in diam.C],
+            "residuals": [_fraction_text(v) for v in diam.residuals],
             "product_ok": diam.product_ok,
         },
     }
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("comb", help="combinatorics vectors").add_subparsers(dest="cmd", required=True)
     p = g.add_parser("validate")
-    p.add_argument("--rho", required=True)
+    p.add_argument("--rho", type=_int_list, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_comb_validate)
     p = g.add_parser("generate")
@@ -376,18 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_comb_generate)
     p = g.add_parser("orbit")
-    p.add_argument("--rho", required=True)
+    p.add_argument("--rho", type=_int_list, required=True)
     p.add_argument("--index", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_comb_orbit)
 
     g = sub.add_parser("knead", help="kneading data").add_subparsers(dest="cmd", required=True)
     p = g.add_parser("det")
-    p.add_argument("--rho", required=True)
+    p.add_argument("--rho", type=_int_list, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_knead_det)
     p = g.add_parser("matrix")
-    p.add_argument("--rho", required=True)
+    p.add_argument("--rho", type=_int_list, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_knead_matrix)
     p = g.add_parser("unimodal")
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_zeta_closed_form)
     p = g.add_parser("mt-check")
-    p.add_argument("--rho", required=True)
+    p.add_argument("--rho", type=_int_list, required=True)
     p.add_argument("--zeta-num", type=_int_list, required=True)
     p.add_argument("--zeta-den", type=_int_list, required=True)
     _add_common(p)

@@ -41,9 +41,6 @@ class Combinatorics:
     def __iter__(self):
         return iter(self.entries)
 
-    def to_text(self) -> str:
-        return ",".join(str(e) for e in self.entries)
-
     @classmethod
     def from_text(cls, text: str) -> "Combinatorics":
         return cls(tuple(int(tok) for tok in text.split(",")))
@@ -132,13 +129,6 @@ def turning_points(rho) -> list[int]:
 class OrbitInfo:
     preperiod: int
     cycle: tuple
-
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
-    def points(self) -> tuple:
-        return self.cycle
 
 
 def orbit(rho, i: int) -> OrbitInfo:
@@ -269,9 +259,6 @@ class PointClass:
 
     fatou: frozenset[int]
     julia: frozenset[int]
-
-    def label(self, i: int) -> str:
-        return "fatou" if i in self.fatou else "julia"
 
 
 def classify_points(rho) -> PointClass:

@@ -47,9 +47,6 @@ class RealPoly:
             acc = acc * x + (c if exact else float(c))
         return acc
 
-    def derivative(self) -> "RealPoly":
-        return RealPoly(tuple(c * i for i, c in enumerate(self.coeffs))[1:] or (Q(0),))
-
     def compose(self, other: "RealPoly") -> "RealPoly":
         return RealPoly(poly_compose(self.coeffs, other.coeffs))
 

@@ -219,9 +219,6 @@ class LabeledInterval:
     def diameter(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains_point(self, x, strict: bool = False) -> bool:
-        return self.lo < x < self.hi if strict else self.lo <= x <= self.hi
-
     def contains(self, other: "LabeledInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 

@@ -8,26 +8,37 @@ maps given as callables use a tolerance band around each turning point and
 refuse to guess inside it.
 
 The increments assemble into the kneading matrix, and the determinant is
-computed from every deletable column and cross-checked.
+computed from every deletable column and cross-checked: exactly, as a
+rational function, on PL models, and as a truncated series on callables.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Sequence
 
 from .combinatorics import PLModel, turning_points
-from .series import Q, RationalFn, TruncSeries, poly_add, poly_mul, series_matrix_det
+from .series import (
+    Q,
+    RationalFn,
+    TruncSeries,
+    poly_mul,
+    rational_from_eventually_periodic,
+    rf_to_series,
+    series_matrix_det,
+)
 
 
-class AmbiguousAddress(Exception):
+class AmbiguousAddress(ValueError):
     """A point fell inside the tolerance band of a turning point."""
 
 
-class KneadingError(Exception):
-    """Internal inconsistency: per-column determinants disagree."""
+class KneadingError(RuntimeError):
+    """Internal inconsistency: per-column determinants disagree, or the exact
+    determinant breaks its degree bound."""
 
 
 @dataclass(frozen=True)
@@ -159,9 +170,14 @@ def theta_series(pm: PMMap, turn_index: int, side: int, order: int) -> list[Trun
         lap = _sided_lap(pm, state.point, state.side)
         comps[lap][n] += state.sign
         if n < order:
-            s = pm.shape[lap]
-            state = SidedState(pm.f(state.point), state.side * s, state.sign * s)
+            state = _advance(pm, state, lap)
     return [TruncSeries(order, tuple(c)) for c in comps]
+
+
+def _advance(pm: PMMap, state: SidedState, lap: int) -> SidedState:
+    """The sided state one iterate later, given the lap it sits in."""
+    s = pm.shape[lap]
+    return SidedState(pm.f(state.point), state.side * s, state.sign * s)
 
 
 @dataclass(frozen=True)
@@ -177,13 +193,14 @@ class KneadingData:
     def order(self) -> int:
         return self.matrix[0][0].order
 
-    def increments(self) -> tuple[tuple[TruncSeries, ...], ...]:
-        return self.matrix
+
+def _as_pm(pm_or_model) -> PMMap:
+    return PMMap.from_pl_model(pm_or_model) if isinstance(pm_or_model, PLModel) else pm_or_model
 
 
 def kneading_matrix(pm_or_model, order: int) -> KneadingData:
     """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as a matrix."""
-    pm = PMMap.from_pl_model(pm_or_model) if isinstance(pm_or_model, PLModel) else pm_or_model
+    pm = _as_pm(pm_or_model)
     m = pm.modality
     if m < 1:
         raise ValueError("map has no turning points")
@@ -208,18 +225,9 @@ def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
     return out
 
 
-def per_column_determinants(pm_or_model, order: int) -> list[TruncSeries]:
-    """The candidate determinant from each deletable column, for inspection."""
-    return _column_determinants(kneading_matrix(pm_or_model, order))
-
-
-def kneading_determinant(pm_or_model, order: int) -> TruncSeries:
-    """The kneading determinant D(t), cross-checked over every column.
-
-    Every deletable column must give the identical series and the leading
-    coefficient must be 1; disagreement is an internal hard error.
-    """
-    cands = per_column_determinants(pm_or_model, order)
+def _cross_checked(cands: list[TruncSeries]) -> TruncSeries:
+    """The determinant every deletable column gives, with leading coefficient 1;
+    disagreement is an internal hard error."""
     first = cands[0]
     for k, c in enumerate(cands[1:], start=1):
         if c.coeffs != first.coeffs:
@@ -227,6 +235,67 @@ def kneading_determinant(pm_or_model, order: int) -> TruncSeries:
     if first[0] != 1:
         raise KneadingError("kneading determinant must have leading coefficient 1")
     return first
+
+
+def per_column_determinants(pm_or_model, order: int) -> list[TruncSeries]:
+    """The candidate determinant from each deletable column, for inspection:
+    on a PL model the expansion of kneading_rational, which has checked the
+    columns exactly, and on a map given as a callable truncated at `order`."""
+    pm = _as_pm(pm_or_model)
+    if isinstance(pm.f, PLModel):
+        return [rf_to_series(kneading_rational(pm), order)] * (pm.modality + 1)
+    return _column_determinants(kneading_matrix(pm, order))
+
+
+def kneading_determinant(pm_or_model, order: int) -> TruncSeries:
+    """The kneading determinant D(t) through t^order, cross-checked over
+    every column."""
+    return _cross_checked(per_column_determinants(pm_or_model, order))
+
+
+def _exact_matrix(pm: PMMap) -> tuple[KneadingData, list[tuple[int, int]]]:
+    """The kneading matrix of a PL model through t^N with a preperiod P_i
+    and period L_i of each row, N = sum_i (P_i + L_i).
+
+    From the first iterate on, c_i^- follows c_i^+ with the opposite sign,
+    so past its first term row i repeats with the sided state of c_i^+; on a
+    PL model that state ranges over finitely many (integer point, side, sign).
+    """
+    if not isinstance(pm.f, PLModel):
+        raise ValueError("exact kneading data needs a PL model")
+    periods = []
+    for c in pm.turning:
+        seen: dict[SidedState, int] = {}
+        state = SidedState(c, 1, 1)
+        while state not in seen:
+            seen[state] = len(seen)
+            state = _advance(pm, state, _sided_lap(pm, state.point, state.side))
+        periods.append((max(seen[state], 1), len(seen) - seen[state]))
+    return kneading_matrix(pm, sum(p + k for p, k in periods)), periods
+
+
+def kneading_rational(pm_or_model) -> RationalFn:
+    """The kneading determinant D(t) of a PL model as an exact rational function.
+
+    (1 - t^L_i) times an entry of row i is a polynomial of degree below
+    P_i + L_i, so with Pi = prod_i (1 - t^L_i) each column gives D(t) as a
+    polynomial of degree at most N - m over Pi (1 - s_col t).  Columns that
+    agree through t^N agree exactly, and since the shape signs s_col take
+    both values, D(t) Pi is then a polynomial of degree below N - m.
+    """
+    return _rational_determinant(*_exact_matrix(_as_pm(pm_or_model)))
+
+
+def _rational_determinant(kd: KneadingData, periods: list[tuple[int, int]]) -> RationalFn:
+    den = (Q(1),)
+    for _, period in periods:
+        den = poly_mul(den, (1,) + (0,) * (period - 1) + (-1,))
+    det = _cross_checked(_column_determinants(kd))
+    num = (det * TruncSeries.from_coeffs(den, kd.order)).coeffs
+    degree = kd.order - kd.modality - 1
+    if any(num[degree + 1 :]):
+        raise KneadingError("kneading determinant exceeds its degree bound")
+    return RationalFn(num[: degree + 1], den)
 
 
 # ---------------------------------------------------------------------------
@@ -274,46 +343,24 @@ def unimodal_kneading(eps: Sequence[int], order: int) -> TruncSeries:
 
 def unimodal_rational_form(eps_prefix: Sequence[int], eps_cycle: Sequence[int]) -> RationalFn:
     """Closed form of the partial-product series of an eventually periodic
-    sign sequence, with denominator 1 - t^(2k), reduced.
+    sign sequence, reduced.
 
     With prefix length p-1 and cycle length k, the partial products repeat
-    with period (not necessarily minimal) 2k past the prefix, so
-    D(t) = (prefix part) + e_{1,p-1} t^{p-1} (cyclic numerator)/(1 - t^{2k}).
+    with period (not necessarily minimal) 2k past their first p-1 terms.
     """
-    cycle = list(eps_cycle)
-    if not cycle:
+    if not eps_cycle:
         raise ValueError("cycle must be nonempty")
-    if any(e not in (1, -1) for e in list(eps_prefix) + cycle):
+    signs = list(eps_prefix) + 2 * list(eps_cycle)
+    if any(e not in (1, -1) for e in signs):
         raise ValueError("signs must be +1 or -1")
-    p = len(eps_prefix) + 1
-    k = len(cycle)
-
-    def eps_at(n: int) -> int:  # 1-based
-        if n < p:
-            return eps_prefix[n - 1]
-        return cycle[(n - p) % k]
-
-    # partial products e_{1,j} for j = 0..p-1+2k (e_{1,0} = 1)
-    e = [1]
-    for j in range(1, p + 2 * k):
-        e.append(e[-1] * eps_at(j))
-
-    prefix_poly = [Q(c) for c in e[: p - 1]]
-    cyc_num = [Q(e[p - 1 + j]) for j in range(2 * k)]
-    den = [Q(1)] + [Q(0)] * (2 * k - 1) + [Q(-1)]
-    num_tail = [Q(0)] * (p - 1) + cyc_num
-    num = poly_add(poly_mul(tuple(prefix_poly), tuple(den)) if prefix_poly else (), num_tail)
-    return RationalFn(tuple(num), tuple(den))
+    partial = list(accumulate(signs[:-1], mul, initial=1))
+    p = len(eps_prefix)
+    return rational_from_eventually_periodic(partial[:p], partial[p:])
 
 
 # ---------------------------------------------------------------------------
 # virtually unimodal structure of the kneading matrix
 # ---------------------------------------------------------------------------
-
-
-def _is_polynomial(s: TruncSeries, margin: int) -> bool:
-    last = max((i for i, c in enumerate(s.coeffs) if c != 0), default=-1)
-    return s.order - last >= margin
 
 
 @dataclass(frozen=True)
@@ -323,36 +370,35 @@ class VUStructureReport:
     determinant_factors_through_dominant: bool
 
 
-def vu_structure_check(kd: KneadingData, dominant_row: int) -> VUStructureReport:
+def vu_structure_check(pm_or_model, dominant_row: int) -> VUStructureReport:
     """Structure of the kneading matrix forced by virtual unimodality.
 
-    For dominant turning point c_j (row j, adjacent laps j-1 and j): every
-    other row must be polynomial outside columns {j-1, j} (at least
-    order//2 trailing zeros past the detected degree), and the determinant
-    after deleting column j-1 must factor exactly through N_{c_j, j}, the
-    quotient again being polynomial (the dominant row keeps only that
-    entry, its other components vanishing identically).
+    For dominant turning point c_j (row j, adjacent laps j-1 and j) of a PL
+    model: every other row must be polynomial outside columns {j-1, j}
+    (its repeating part vanishes), and the determinant after deleting column
+    j-1 must factor exactly through N_{c_j, j}, the quotient again being
+    polynomial (the dominant row keeps only that entry, its other components
+    vanishing identically).  Both tests are exact.
     """
-    m = kd.modality
+    pm = _as_pm(pm_or_model)
+    m = pm.modality
     j = dominant_row
     if not (1 <= j <= m):
         raise ValueError("dominant row out of range")
-    order = kd.order
-    margin = order // 2
+    kd, periods = _exact_matrix(pm)
+    # the repeating part of every entry's coefficients
+    cycles = [[e.coeffs[p : p + k] for e in row] for row, (p, k) in zip(kd.matrix, periods)]
 
     rows_ok = all(
-        _is_polynomial(kd.matrix[i - 1][col], margin)
+        not any(cycles[i - 1][col])
         for i in range(1, m + 1)
         if i != j
         for col in range(m + 1)
         if col not in (j - 1, j)
     )
 
-    minor = [[kd.matrix[i][col] for col in range(m + 1) if col != j - 1] for i in range(m)]
-    det = series_matrix_det(minor)
-    pivot = kd.matrix[j - 1][j]
-    factors_ok = False
-    if pivot[0] != 0:
-        quotient = det * pivot.recip()
-        factors_ok = _is_polynomial(quotient, margin)
+    pivot = rational_from_eventually_periodic(kd.matrix[j - 1][j].coeffs[: periods[j - 1][0]], cycles[j - 1][j])
+    # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t)
+    minor = _rational_determinant(kd, periods) * RationalFn.from_poly((1, -pm.shape[j - 1]))
+    factors_ok = pivot.at_zero() != 0 and (minor * pivot.reciprocal()).den == (1,)
     return VUStructureReport(rows_ok and factors_ok, rows_ok, factors_ok)

@@ -96,13 +96,6 @@ def poly_derivative(p) -> tuple[Fraction, ...]:
     return poly_trim([_frac(c) * i for i, c in enumerate(p)][1:])
 
 
-def poly_eval(p, x):
-    acc = x * 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_compose(p, q) -> tuple[Fraction, ...]:
     """p(q(t)) by Horner on polynomials."""
     acc: tuple[Fraction, ...] = ()
@@ -158,13 +151,6 @@ class TruncSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncSeries(order, self.coeffs[: order + 1])
-
-    def agrees_with(self, other: "TruncSeries", through: int | None = None) -> bool:
-        n = min(self.order, other.order) if through is None else through
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def _common(self, other: "TruncSeries") -> int:
         return min(self.order, other.order)
@@ -322,12 +308,6 @@ class RationalFn:
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
 
     def reciprocal(self) -> "RationalFn":
         if not self.num or self.num[0] == 0:

@@ -61,18 +61,6 @@ class AdjMatrix:
     def identity(self) -> "AdjMatrix":
         return AdjMatrix([[1 if i == j else 0 for j in range(self.k)] for i in range(self.k)])
 
-    def power(self, m: int) -> "AdjMatrix":
-        if m < 0:
-            raise ValueError("negative matrix power")
-        acc = self.identity()
-        base = self
-        while m:
-            if m & 1:
-                acc = acc @ base
-            base = base @ base
-            m >>= 1
-        return acc
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.k))
 

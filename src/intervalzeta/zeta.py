@@ -2,7 +2,7 @@
 
 zeta(t) = exp(sum_n N_n t^n / n).  Counts are recovered from a rational
 zeta by its logarithmic derivative; the kneading relation 1/zeta = Phi * D
-is checked by peeling Phi into (1 - t^p) factors.
+is checked exactly by peeling Phi into (1 - t^p) factors.
 """
 
 from __future__ import annotations
@@ -71,26 +71,20 @@ def zeta_vu_closed_form(nu: int) -> RationalFn:
     return RationalFn((Q(1),), den)
 
 
-def mt_relation_check(
-    zeta: RationalFn, kneading_det: TruncSeries, order: int
-) -> list[int] | None:
+def mt_relation_check(zeta: RationalFn, det: RationalFn) -> list[int] | None:
     """Recover Phi = 1/(zeta * D) and peel it into (1 - t^p) factors.
 
-    Returns the factor exponents when Phi stabilizes to a polynomial within
-    the truncation (at least order//2 trailing zero coefficients past its
-    degree) and peels completely; None otherwise.
+    Returns the factor exponents when Phi is a polynomial (reduced
+    denominator 1) that peels completely; None otherwise.
     """
     if zeta.at_zero() != 1:
         raise ValueError("zeta must have constant term 1")
-    if kneading_det[0] != 1:
+    if det.at_zero() != 1:
         raise ValueError("kneading determinant must have leading coefficient 1")
-    n = min(order, kneading_det.order)
-    zs = rf_to_series(zeta, n)
-    phi = (zs * kneading_det).recip()
-    last_nonzero = max((i for i, c in enumerate(phi.coeffs) if c != 0), default=0)
-    if n - last_nonzero < n // 2:
+    phi = (zeta * det).reciprocal()
+    if phi.den != (1,):
         return None
-    factors, residual = cyclotomic_peel(phi.coeffs[: last_nonzero + 1])
+    factors, residual = cyclotomic_peel(phi.num)
     if residual != (Q(1),):
         return None
     return factors

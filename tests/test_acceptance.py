@@ -38,6 +38,7 @@ from intervalzeta.fibmap import (
 )
 from intervalzeta.kneading import (
     kneading_determinant,
+    kneading_rational,
     per_column_determinants,
     unimodal_kneading,
     unimodal_rational_form,
@@ -107,8 +108,7 @@ def test_criterion_06_milnor_thurston_full_tent():
     brute = [count_fixed_points_of_iterate(model, n) for n in range(1, 11)]
     assert brute == [2**n for n in range(1, 11)]
     zeta_rf = RationalFn((1,), (1, -2))
-    det = kneading_determinant(model, 32)
-    factors = mt_relation_check(zeta_rf, det, 32)
+    factors = mt_relation_check(zeta_rf, kneading_rational(model))
     assert factors == [1]
     _report(6, "full-tent Phi peels to [(1-t)] with residual 1; oracle counts are 2^n")
 

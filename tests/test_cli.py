@@ -1,7 +1,10 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+from intervalzeta import fibmap, kneading
 from intervalzeta.cli import main
 
 
@@ -99,6 +102,22 @@ class TestCubicAndFib:
         payload = json.loads(out)
         assert payload["diameters"]["product_ok"] is True
 
+    def test_fib_check_beyond_int_str_limit(self, capsys):
+        # the depth-9 Fibonacci slope: its diameter ratios have over 4300 digits
+        lam = "4180977903656724278137799/2417851639229258349412352"
+        code, out = run_cli(capsys, "fib", "check", "--lambda", lam, "--kmax", "9")
+        assert code == 0
+        got = json.loads(out)["diameters"]
+        diam = fibmap.diameter_ratios(fibmap.interval_families(Fraction(lam), 11), 9)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert got["nu"] == [str(v) for v in diam.nu]
+            assert got["C"] == [str(v) for v in diam.C]
+            assert got["residuals"] == [str(v) for v in diam.residuals]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_series_detect_period(self, capsys):
         code, out = run_cli(capsys, "series", "detect-period", "--coeffs", "1,-1,-1,-1,-1,-1,-1,-1,-1")
         assert code == 0
@@ -129,6 +148,28 @@ class TestContract:
         code, out = run_cli(capsys, "zeta", "sft", "--matrix", "0,1;1,1", "--n", "3", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text()) == {"counts": [1, 3, 4]}
+
+    def test_out_to_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out = run_cli(capsys, "zeta", "sft", "--matrix", "0,1;1,1", "--n", "3", "--out", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False and "missing" in payload["reason"]
+
+    @pytest.mark.parametrize("error", [kneading.KneadingError, kneading.AmbiguousAddress])
+    def test_kneading_errors_are_domain_failures(self, capsys, monkeypatch, error):
+        def fail(_):
+            raise error("forced")
+
+        monkeypatch.setattr(kneading, "kneading_rational", fail)
+        code, out = run_cli(capsys, "knead", "det", "--rho", "0,2,0")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "forced"}
+
+    def test_non_integer_rho_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["knead", "det", "--rho", "0,x,0"])
+        assert exc.value.code == 2
 
     def test_csv_unsupported_elsewhere(self, capsys):
         code, out = run_cli(capsys, "comb", "generate", "--nu", "2", "--format", "csv")

@@ -11,6 +11,7 @@ from intervalzeta.kneading import (
     address,
     kneading_determinant,
     kneading_matrix,
+    kneading_rational,
     per_column_determinants,
     theta_series,
     unimodal_eps,
@@ -29,15 +30,17 @@ def reflect(rho):
     return tuple(n - rho[n - i] for i in range(n + 1))
 
 
-def unimodal_rhos(max_n=6):
+def pm_rhos(turns, max_n=6):
+    """Piecewise monotone combinatorics vectors with `turns` turning points."""
+
     def build(n):
         return st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1)
 
     return (
-        st.integers(2, max_n)
+        st.integers(turns + 1, max_n)
         .flatmap(build)
         .map(lambda e: tuple(e))
-        .filter(lambda e: is_pm(e) and len(turning_points(Combinatorics(e))) == 1)
+        .filter(lambda e: is_pm(e) and len(turning_points(Combinatorics(e))) == turns)
     )
 
 
@@ -129,6 +132,33 @@ class TestKneadingDeterminant:
         assert det.coeffs == rf_to_series(RationalFn((1, -2), (1, -1)), 16).coeffs
 
 
+class TestKneadingRational:
+    @pytest.mark.parametrize(
+        "rho, expected",
+        [
+            (FULL_TENT, RationalFn((1, -2), (1, -1))),
+            (RHO0, RationalFn((1, -1, -1), (1, 0, 0, -1))),
+            ((5, 2, 3, 4, 2, 0), RationalFn((1, -1, -1), (1, 0, 0, -1))),
+            *((tuple(generate_vu(nu)), RationalFn((1, -1, -1), (1, 0, 0, -1))) for nu in range(2, 6)),
+        ],
+    )
+    def test_closed_forms(self, rho, expected):
+        assert kneading_rational(pl_model(rho)) == expected
+
+    @given(st.one_of(pm_rhos(1), pm_rhos(2)))
+    @settings(max_examples=60, deadline=None)
+    def test_expansion_matches_truncated_callable_path(self, rho):
+        model = pl_model(rho)
+        # a plain callable hides the PL model, so the truncated path runs
+        pm = PMMap.from_callable(lambda x: model(x), 0, model.n, turning_points(model.rho))
+        assert rf_to_series(kneading_rational(model), 48).coeffs == kneading_determinant(pm, 48).coeffs
+
+    def test_rejects_callable_map(self):
+        pm = PMMap.from_callable(lambda x: 2.0 * min(x, 1.0 - x), 0.0, 1.0, (0.5,))
+        with pytest.raises(ValueError):
+            kneading_rational(pm)
+
+
 class TestUnimodal:
     def test_all_plus_gives_geometric(self):
         s = unimodal_kneading([1] * 12, 12)
@@ -147,7 +177,7 @@ class TestUnimodal:
     def test_eps_convention_at_exact_returns(self):
         assert unimodal_eps(pl_model(RHO0), 6) == [-1, 1, -1, -1, 1, -1]
 
-    @given(unimodal_rhos())
+    @given(pm_rhos(1))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_general_determinant(self, rho):
         model = pl_model(rho)
@@ -180,20 +210,20 @@ class TestUnimodalRationalForm:
 
 
 class TestVUStructure:
-    @pytest.mark.parametrize("nu", [2, 3])
+    @pytest.mark.parametrize("nu", [2, 3, 4, 5])
     def test_generated_families(self, nu):
-        rho = generate_vu(nu)
-        kd = kneading_matrix(pl_model(rho), 48)
-        report = vu_structure_check(kd, dominant_row=nu)
+        report = vu_structure_check(pl_model(generate_vu(nu)), dominant_row=nu)
         assert report.ok
         assert report.rows_polynomial_outside_pair
         assert report.determinant_factors_through_dominant
 
+    def test_non_dominant_rows_fail(self):
+        model = pl_model(generate_vu(3))
+        assert not any(vu_structure_check(model, dominant_row=j).ok for j in (1, 2))
+
     def test_unimodal_vacuous(self):
-        kd = kneading_matrix(pl_model(RHO0), 24)
-        assert vu_structure_check(kd, dominant_row=1).ok
+        assert vu_structure_check(pl_model(RHO0), dominant_row=1).ok
 
     def test_dominant_row_bounds(self):
-        kd = kneading_matrix(pl_model(RHO0), 8)
         with pytest.raises(ValueError):
-            vu_structure_check(kd, dominant_row=2)
+            vu_structure_check(pl_model(RHO0), dominant_row=2)

@@ -13,6 +13,7 @@ from intervalzeta.zeta import (
 )
 
 FIB_ZETA = RationalFn((1,), (1, -1, -1))
+ONE = RationalFn.from_poly((1,))
 
 
 class TestZetaFromCounts:
@@ -85,22 +86,30 @@ class TestClosedForm:
 class TestMTRelation:
     def test_full_tent(self):
         zeta_rf = RationalFn((1,), (1, -2))
-        det = rf_to_series(RationalFn((1, -2), (1, -1)), 32)
-        assert mt_relation_check(zeta_rf, det, 32) == [1]
+        det = RationalFn((1, -2), (1, -1))
+        assert mt_relation_check(zeta_rf, det) == [1]
 
     def test_det_equals_reciprocal_zeta(self):
         zeta_rf = RationalFn((1,), (1, -1, -1))
-        det = rf_to_series(RationalFn((1, -1, -1), (1,)), 32)
-        assert mt_relation_check(zeta_rf, det, 32) == []
+        det = RationalFn((1, -1, -1), (1,))
+        assert mt_relation_check(zeta_rf, det) == []
 
     def test_unpeelable_polynomial_returns_none(self):
         # phi = 1/(zeta * D) = 1 + t has no (1 - t^p) factorization
         zeta_rf = RationalFn((1,), (1, 1))
-        det = TruncSeries.one(32)
-        assert mt_relation_check(zeta_rf, det, 32) is None
+        assert mt_relation_check(zeta_rf, ONE) is None
 
     def test_non_stabilizing_returns_none(self):
         # phi = 1/(1 - t) never becomes a polynomial
         zeta_rf = RationalFn((1, -1), (1,))
-        det = TruncSeries.one(32)
-        assert mt_relation_check(zeta_rf, det, 32) is None
+        assert mt_relation_check(zeta_rf, ONE) is None
+
+    def test_high_degree_polynomial_phi(self):
+        # phi = 1 - t^20
+        zeta_rf = RationalFn((1,), (1,) + (0,) * 19 + (-1,))
+        assert mt_relation_check(zeta_rf, ONE) == [20]
+
+    def test_pole_beyond_truncation_returns_none(self):
+        # phi = 1/(1 - t^40), whose expansion is 1 through t^39
+        zeta_rf = RationalFn((1,) + (0,) * 39 + (-1,), (1,))
+        assert mt_relation_check(zeta_rf, ONE) is None
