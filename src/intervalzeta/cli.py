@@ -3,16 +3,21 @@
 Subcommands mirror the library modules; every command emits JSON (sorted
 keys, deterministic) or CSV to stdout or --out.  Exit codes: 0 success,
 1 domain failure with a structured reason, 2 usage error.
+
+The whole surface is one table, `_COMMANDS`: group -> (help, {command ->
+(handler, its own arguments)}); every subcommand also takes the `_COMMON`
+flags.  A handler gets the parsed namespace alone; `main` writes a
+`DomainFailure` or library error it raises as one JSON failure line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,19 +27,11 @@ from .series import RationalFn, detect_eventual_periodicity, rf_to_series
 
 
 class DomainFailure(Exception):
+    """A refusal: its message is the failure's reason, `payload` adds fields."""
+
     def __init__(self, reason: str, **payload):
         super().__init__(reason)
-        self.reason = reason
         self.payload = payload
-
-
-@dataclass
-class RunConfig:
-    order: int = 64
-    tol: float = 1e-12
-    depth: int = 6
-    fmt: str = "json"
-    out: str | None = None
 
 
 def _fraction(text: str) -> Fraction:
@@ -59,8 +56,12 @@ def _matrix(text: str) -> subshift.AdjMatrix:
         raise argparse.ArgumentTypeError("not a matrix like '0,1;1,1': %r" % text) from exc
 
 
-def _emit(payload, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
-    if cfg.fmt == "csv":
+def _json_line(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
+    if args.fmt == "csv":
         if csv_rows is None:
             raise DomainFailure("csv output is not available for this subcommand")
         buf = io.StringIO()
@@ -70,10 +71,10 @@ def _emit(payload, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if cfg.out:
+        text = _json_line(payload)
+    if args.out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise DomainFailure("cannot write --out: %s" % exc)
@@ -92,7 +93,7 @@ def _fraction_text(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_comb_validate(args, cfg: RunConfig):
+def _cmd_comb_validate(args):
     rho = comb.Combinatorics(tuple(args.rho))
     pm = comb.is_pm(rho)
     if not pm:
@@ -117,22 +118,22 @@ def _cmd_comb_validate(args, cfg: RunConfig):
         "dominant": dominant,
         "expanding": bool(comb.is_expanding(rho)),
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_comb_generate(args, cfg: RunConfig):
+def _cmd_comb_generate(args):
     rho = comb.generate_vu(args.nu)
     payload = {
         "rho": list(rho),
         "vu": comb.is_virtually_unimodal(rho) is not None,
         "expanding": bool(comb.is_expanding(rho)),
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_comb_orbit(args, cfg: RunConfig):
+def _cmd_comb_orbit(args):
     info = comb.orbit(args.rho, args.index)
-    _emit({"index": args.index, "preperiod": info.preperiod, "cycle": list(info.cycle)}, cfg)
+    _emit({"index": args.index, "preperiod": info.preperiod, "cycle": list(info.cycle)}, args)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +141,10 @@ def _cmd_comb_orbit(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_knead_det(args, cfg: RunConfig):
+def _cmd_knead_det(args):
     model = comb.pl_model(args.rho)
     pm = kneading.PMMap.from_pl_model(model)
-    det = rf_to_series(kneading.kneading_rational(pm), cfg.order)
+    det = rf_to_series(kneading.kneading_rational(pm), args.order)
     payload = {
         "rho": list(model.rho),
         "shape": list(pm.shape),
@@ -151,34 +152,33 @@ def _cmd_knead_det(args, cfg: RunConfig):
         # kneading_rational has checked that every deletable column agrees
         "per_column": [det.to_json()] * (pm.modality + 1),
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_knead_matrix(args, cfg: RunConfig):
+def _cmd_knead_matrix(args):
     model = comb.pl_model(args.rho)
-    kd = kneading.kneading_matrix(model, cfg.order)
+    kd = kneading.kneading_matrix(model, args.order)
     payload = {
         "rho": list(model.rho),
         "shape": list(kd.shape),
         "matrix": [[e.to_json() for e in row] for row in kd.matrix],
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_knead_unimodal(args, cfg: RunConfig):
-    prefix = args.prefix or []
-    cycle = args.cycle
+def _cmd_knead_unimodal(args):
+    prefix, cycle = args.prefix, args.cycle
     rf = kneading.unimodal_rational_form(prefix, cycle)
-    eps = list(prefix) + [cycle[(n - len(prefix)) % len(cycle)] for n in range(len(prefix), cfg.order)]
-    series = kneading.unimodal_kneading(eps, cfg.order)
+    eps = list(prefix) + [cycle[(n - len(prefix)) % len(cycle)] for n in range(len(prefix), args.order)]
+    series = kneading.unimodal_kneading(eps, args.order)
     payload = {
         "prefix": list(prefix),
         "cycle": list(cycle),
         "rational": rf.to_json(),
         "series": series.to_json(),
-        "match": rf_to_series(rf, cfg.order).coeffs == series.coeffs,
+        "match": rf_to_series(rf, args.order).coeffs == series.coeffs,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +186,31 @@ def _cmd_knead_unimodal(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_zeta_from_counts(args, cfg: RunConfig):
+def _cmd_zeta_from_counts(args):
     counts = args.counts
-    order = min(cfg.order, len(counts))
-    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, order).to_json()}, cfg)
+    order = min(args.order, len(counts))
+    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, order).to_json()}, args)
 
 
-def _cmd_zeta_sft(args, cfg: RunConfig):
+def _cmd_zeta_sft(args):
     counts = subshift.sft_periodic_counts(args.matrix, args.n)
-    _emit({"counts": counts}, cfg)
+    _emit({"counts": counts}, args)
 
 
-def _cmd_zeta_closed_form(args, cfg: RunConfig):
+def _cmd_zeta_closed_form(args):
     rf = zeta.zeta_vu_closed_form(args.nu)
-    counts = zeta.counts_from_zeta(rf, min(cfg.order, 24))
-    _emit({"nu": args.nu, "zeta": rf.to_json(), "counts": counts}, cfg)
+    counts = zeta.counts_from_zeta(rf, min(args.order, 24))
+    _emit({"nu": args.nu, "zeta": rf.to_json(), "counts": counts}, args)
 
 
-def _cmd_zeta_mt_check(args, cfg: RunConfig):
+def _cmd_zeta_mt_check(args):
     model = comb.pl_model(args.rho)
     det = kneading.kneading_rational(model)
     rf = RationalFn(tuple(args.zeta_num), tuple(args.zeta_den))
     factors = zeta.mt_relation_check(rf, det)
     if factors is None:
         raise DomainFailure("no cyclotomic factorization found", rho=list(model.rho))
-    _emit({"rho": list(model.rho), "zeta": rf.to_json(), "phi_factors": factors}, cfg)
+    _emit({"rho": list(model.rho), "zeta": rf.to_json(), "phi_factors": factors}, args)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +222,12 @@ def _cubic_counts(s: Fraction, n_max: int, tol: float) -> list[int]:
     return [cubicfam.count_periodic(s, n, tol).count for n in range(1, n_max + 1)]
 
 
-def _cmd_cubic_report(args, cfg: RunConfig):
+def _cmd_cubic_report(args):
     s = args.s
     poly, par = cubicfam.cubic_family(s)
-    alpha, beta = cubicfam.filled_julia_endpoints(s, cfg.tol)
-    counts = _cubic_counts(s, args.nmax, cfg.tol)
-    pieces = cubicfam.repeller_pieces(s, cfg.depth)
+    alpha, beta = cubicfam.filled_julia_endpoints(s, args.tol)
+    counts = _cubic_counts(s, args.nmax, args.tol)
+    pieces = cubicfam.repeller_pieces(s, args.depth)
     disjoint = all(
         pieces[i].interval.disjoint(pieces[j].interval)
         for i in range(len(pieces))
@@ -246,40 +246,40 @@ def _cmd_cubic_report(args, cfg: RunConfig):
         "endpoints": {"alpha": alpha, "beta": beta},
         "counts": counts,
         "repeller": {
-            "depth": cfg.depth,
+            "depth": args.depth,
             "pieces": len(pieces),
             "max_diameter": max(p.interval.diameter for p in pieces),
             "disjoint": disjoint,
         },
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_cubic_sweep(args, cfg: RunConfig):
+def _cmd_cubic_sweep(args):
     lo, hi, steps = args.start, args.stop, args.steps
     if steps < 1:
         raise DomainFailure("steps must be >= 1")
     rows = []
     for k in range(steps + 1):
-        s = lo + (hi - lo) * Fraction(k, steps) if steps else lo
-        alpha, beta = cubicfam.filled_julia_endpoints(s, cfg.tol)
-        counts = _cubic_counts(s, 6, cfg.tol)
+        s = lo + (hi - lo) * Fraction(k, steps)
+        alpha, beta = cubicfam.filled_julia_endpoints(s, args.tol)
+        counts = _cubic_counts(s, 6, args.tol)
         rows.append([str(s), float(cubicfam.critical_value(s)), alpha, beta, *counts])
     header = ["s", "F_s(c_s)", "alpha", "beta", "N1", "N2", "N3", "N4", "N5", "N6"]
     payload = [dict(zip(header, row)) for row in rows]
-    _emit(payload, cfg, csv_rows=rows, csv_header=header)
+    _emit(payload, args, csv_rows=rows, csv_header=header)
 
 
-def _cmd_cubic_count(args, cfg: RunConfig):
-    result = cubicfam.count_periodic(args.s, args.n, cfg.tol)
-    _emit({"s": str(args.s), "n": result.n, "count": result.count, "flagged": list(result.flagged)}, cfg)
+def _cmd_cubic_count(args):
+    result = cubicfam.count_periodic(args.s, args.n, args.tol)
+    _emit({"s": str(args.s), "n": result.n, "count": result.count, "flagged": list(result.flagged)}, args)
 
 
-def _cmd_cubic_repeller(args, cfg: RunConfig):
-    pieces = cubicfam.repeller_pieces(args.s, cfg.depth)
+def _cmd_cubic_repeller(args):
+    pieces = cubicfam.repeller_pieces(args.s, args.depth)
     payload = {
         "s": str(args.s),
-        "depth": cfg.depth,
+        "depth": args.depth,
         "pieces": [
             {"word": p.word, "collapsed": p.collapsed, "lo": p.interval.lo, "hi": p.interval.hi}
             for p in pieces
@@ -287,7 +287,7 @@ def _cmd_cubic_repeller(args, cfg: RunConfig):
         "count": len(pieces),
         "max_diameter": max(p.interval.diameter for p in pieces),
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +295,18 @@ def _cmd_cubic_repeller(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fib_find_lambda(args, cfg: RunConfig):
-    try:
-        result = fibmap.find_fib_lambda(cfg.depth, Fraction(cfg.tol).limit_denominator(10**15))
-    except fibmap.BracketError as exc:
-        raise DomainFailure(str(exc))
+def _cmd_fib_find_lambda(args):
+    result = fibmap.find_fib_lambda(args.depth, Fraction(args.tol).limit_denominator(10**15))
     payload = {
-        "depth": cfg.depth,
+        "depth": args.depth,
         "lambda": str(result.lam),
         "value": result.value,
         "bracket": [str(result.bracket[0]), str(result.bracket[1])],
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_fib_check(args, cfg: RunConfig):
+def _cmd_fib_check(args):
     kmax = args.kmax
     family = fibmap.interval_families(args.lam, kmax + 2)
     structure = fibmap.verify_structure(family, kmax)
@@ -331,7 +328,7 @@ def _cmd_fib_check(args, cfg: RunConfig):
         [k, float(diam.nu[k]), float(diam.C[k]), float(diam.residuals[k - 1]) if k >= 1 else ""]
         for k in range(0, kmax + 1)
     ]
-    _emit(payload, cfg, csv_rows=rows, csv_header=["k", "nu", "C", "residual"])
+    _emit(payload, args, csv_rows=rows, csv_header=["k", "nu", "C", "residual"])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,7 @@ def _cmd_fib_check(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_series_detect_period(args, cfg: RunConfig):
+def _cmd_series_detect_period(args):
     cert = detect_eventual_periodicity(args.coeffs)
     payload = {
         "coeffs_inspected": len(args.coeffs),
@@ -347,7 +344,7 @@ def _cmd_series_detect_period(args, cfg: RunConfig):
         if cert is None
         else {"preperiod": cert.preperiod, "period": cert.period, "depth": cert.depth},
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
 # ---------------------------------------------------------------------------
@@ -355,107 +352,72 @@ def _cmd_series_detect_period(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--order", type=int, default=64, help="series truncation order (>= 8)")
-    p.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance (> 0)")
-    p.add_argument("--depth", type=int, default=6, help="depth for word/piece constructions")
-    p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+def _required(flag: str, parse, **kwargs):
+    return flag, {"type": parse, "required": True, **kwargs}
 
 
+_RHO = _required("--rho", _int_list)
+_S = _required("--s", _fraction)
+
+# every subcommand takes these after its own arguments
+_COMMON = (
+    ("--order", {"type": int, "default": 64, "help": "series truncation order (>= 8)"}),
+    ("--tol", {"type": float, "default": 1e-12, "help": "numeric tolerance (> 0)"}),
+    ("--depth", {"type": int, "default": 6, "help": "depth for word/piece constructions"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"}),
+    ("--out", {"default": None, "help": "write output to this path instead of stdout"}),
+)
+
+# group -> (help, {command -> (handler, its own arguments)})
+_COMMANDS = {
+    "comb": ("combinatorics vectors", {
+        "validate": (_cmd_comb_validate, [_RHO]),
+        "generate": (_cmd_comb_generate, [_required("--nu", int)]),
+        "orbit": (_cmd_comb_orbit, [_RHO, _required("--index", int)]),
+    }),
+    "knead": ("kneading data", {
+        "det": (_cmd_knead_det, [_RHO]),
+        "matrix": (_cmd_knead_matrix, [_RHO]),
+        # an immutable default: the cached parser hands it to every call
+        "unimodal": (_cmd_knead_unimodal, [("--prefix", {"type": _int_list, "default": ()}),
+                                           _required("--cycle", _int_list)]),
+    }),
+    "zeta": ("zeta functions", {
+        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list)]),
+        "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _required("--n", int)]),
+        "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int)]),
+        "mt-check": (_cmd_zeta_mt_check, [_RHO, _required("--zeta-num", _int_list),
+                                          _required("--zeta-den", _int_list)]),
+    }),
+    "cubic": ("the cubic family", {
+        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": int, "default": 4})]),
+        "sweep": (_cmd_cubic_sweep, [_required("--from", _fraction, dest="start"),
+                                     _required("--to", _fraction, dest="stop"), _required("--steps", int)]),
+        "count": (_cmd_cubic_count, [_S, _required("--n", int)]),
+        "repeller": (_cmd_cubic_repeller, [_S]),
+    }),
+    "fib": ("Fibonacci tent map", {
+        "find-lambda": (_cmd_fib_find_lambda, []),
+        "check": (_cmd_fib_check, [_required("--lambda", _fraction, dest="lam"),
+                                   ("--kmax", {"type": int, "default": 6})]),
+    }),
+    "series": ("series utilities", {
+        "detect-period": (_cmd_series_detect_period, [_required("--coeffs", _int_list)]),
+    }),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="intervalzeta")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    g = sub.add_parser("comb", help="combinatorics vectors").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("validate")
-    p.add_argument("--rho", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_comb_validate)
-    p = g.add_parser("generate")
-    p.add_argument("--nu", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_comb_generate)
-    p = g.add_parser("orbit")
-    p.add_argument("--rho", type=_int_list, required=True)
-    p.add_argument("--index", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_comb_orbit)
-
-    g = sub.add_parser("knead", help="kneading data").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("det")
-    p.add_argument("--rho", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_knead_det)
-    p = g.add_parser("matrix")
-    p.add_argument("--rho", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_knead_matrix)
-    p = g.add_parser("unimodal")
-    p.add_argument("--prefix", type=_int_list, default=[])
-    p.add_argument("--cycle", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_knead_unimodal)
-
-    g = sub.add_parser("zeta", help="zeta functions").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("from-counts")
-    p.add_argument("--counts", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_zeta_from_counts)
-    p = g.add_parser("sft")
-    p.add_argument("--matrix", type=_matrix, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_zeta_sft)
-    p = g.add_parser("closed-form")
-    p.add_argument("--nu", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_zeta_closed_form)
-    p = g.add_parser("mt-check")
-    p.add_argument("--rho", type=_int_list, required=True)
-    p.add_argument("--zeta-num", type=_int_list, required=True)
-    p.add_argument("--zeta-den", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_zeta_mt_check)
-
-    g = sub.add_parser("cubic", help="the cubic family").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("report")
-    p.add_argument("--s", type=_fraction, required=True)
-    p.add_argument("--nmax", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_cubic_report)
-    p = g.add_parser("sweep")
-    p.add_argument("--from", dest="start", type=_fraction, required=True)
-    p.add_argument("--to", dest="stop", type=_fraction, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_cubic_sweep)
-    p = g.add_parser("count")
-    p.add_argument("--s", type=_fraction, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_cubic_count)
-    p = g.add_parser("repeller")
-    p.add_argument("--s", type=_fraction, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_cubic_repeller)
-
-    g = sub.add_parser("fib", help="Fibonacci tent map").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("find-lambda")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fib_find_lambda)
-    p = g.add_parser("check")
-    p.add_argument("--lambda", dest="lam", type=_fraction, required=True)
-    p.add_argument("--kmax", type=int, default=6)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fib_check)
-
-    g = sub.add_parser("series", help="series utilities").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("detect-period")
-    p.add_argument("--coeffs", type=_int_list, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_series_detect_period)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (help_text, commands) in _COMMANDS.items():
+        subs = groups.add_parser(group, help=help_text).add_subparsers(dest="cmd", required=True)
+        for name, (fn, arguments) in commands.items():
+            p = subs.add_parser(name)
+            for flag, kwargs in (*arguments, *_COMMON):
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(fn=fn)
     return parser
 
 
@@ -466,16 +428,10 @@ def main(argv=None) -> int:
         parser.error("--order must be >= 8")
     if args.tol <= 0:
         parser.error("--tol must be > 0")
-    cfg = RunConfig(order=args.order, tol=args.tol, depth=args.depth, fmt=args.fmt, out=args.out)
     try:
-        args.fn(args, cfg)
-    except DomainFailure as exc:
-        payload = {"ok": False, "reason": exc.reason, **exc.payload}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        return 1
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        payload = {"ok": False, "reason": str(exc)}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        args.fn(args)
+    except (DomainFailure, ValueError, ArithmeticError, RuntimeError) as exc:
+        sys.stdout.write(_json_line({"ok": False, "reason": str(exc), **getattr(exc, "payload", {})}))
         return 1
     return 0
 

@@ -41,17 +41,6 @@ class Combinatorics:
     def __iter__(self):
         return iter(self.entries)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Combinatorics":
-        return cls(tuple(int(tok) for tok in text.split(",")))
-
-    def to_json(self) -> dict:
-        return {"rho": list(self.entries)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Combinatorics":
-        return cls(tuple(int(e) for e in data["rho"]))
-
 
 def _as_comb(rho) -> Combinatorics:
     if isinstance(rho, Combinatorics):

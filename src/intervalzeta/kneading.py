@@ -42,17 +42,6 @@ class KneadingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SymbolicAddress:
-    """Lap symbol I_j (kind 'lap') or turning symbol C_j (kind 'turn')."""
-
-    kind: str
-    index: int
-
-    def __str__(self):
-        return ("I%d" if self.kind == "lap" else "C%d") % self.index
-
-
-@dataclass(frozen=True)
 class SidedState:
     """One-sided orbit state: the point, the side it is approached from,
     and the accumulated product of the lap signs seen so far."""
@@ -110,22 +99,6 @@ class PMMap:
         cuts = [a, *turning, b]
         shape = tuple(1 if f(cuts[i + 1]) > f(cuts[i]) else -1 for i in range(len(cuts) - 1))
         return cls(a, b, tuple(turning), shape, f, tol)
-
-
-def address(pm: PMMap, x) -> SymbolicAddress:
-    """Address of a point: its lap, or the turning symbol if it is one.
-
-    With a tolerance band, a point within tol of a turning point without
-    being exactly equal is Ambiguous rather than silently assigned.
-    """
-    if not (pm.a <= x <= pm.b):
-        raise ValueError("point outside the domain")
-    for j, c in enumerate(pm.turning, start=1):
-        if x == c:
-            return SymbolicAddress("turn", j)
-        if pm.tol and abs(x - c) <= pm.tol:
-            raise AmbiguousAddress("point %r within tolerance band of turning point %r" % (x, c))
-    return SymbolicAddress("lap", bisect_left(list(pm.turning), x) if x > pm.a else 0)
 
 
 def _sided_lap(pm: PMMap, x, side: int) -> int:

@@ -235,10 +235,6 @@ class TruncSeries:
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "TruncSeries":
-        return cls(data["order"], tuple(Fraction(c) for c in data["coeffs"]))
-
     def __str__(self):
         return "TruncSeries(order=%d, %s)" % (self.order, ", ".join(str(c) for c in self.coeffs))
 
@@ -319,10 +315,6 @@ class RationalFn:
 
     def to_json(self) -> dict:
         return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalFn":
-        return cls(tuple(Fraction(c) for c in data["num"]), tuple(Fraction(c) for c in data["den"]))
 
 
 def rf_to_series(rf: RationalFn, order: int) -> TruncSeries:

@@ -49,9 +49,6 @@ class AdjMatrix:
         self.k = k
         self.rows = tuple(tuple(int(e) for e in r) for r in rows)
 
-    def __eq__(self, other):
-        return isinstance(other, AdjMatrix) and self.rows == other.rows
-
     def __matmul__(self, other: "AdjMatrix") -> "AdjMatrix":
         k = self.k
         return AdjMatrix(
@@ -63,13 +60,6 @@ class AdjMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.k))
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AdjMatrix":
-        return cls(data["rows"])
 
     def __repr__(self):
         return "AdjMatrix(%r)" % (list(list(r) for r in self.rows),)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from intervalzeta import fibmap, kneading
-from intervalzeta.cli import main
+from intervalzeta.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -171,7 +172,58 @@ class TestContract:
             main(["knead", "det", "--rho", "0,x,0"])
         assert exc.value.code == 2
 
+    def test_parser_reuse_does_not_leak_state(self, capsys):
+        assert build_parser() is build_parser()
+        run_cli(capsys, "knead", "unimodal", "--prefix=1", "--cycle=1")
+        code, out = run_cli(capsys, "knead", "unimodal", "--cycle=1")
+        assert code == 0 and '"prefix":[]' in out
+
     def test_csv_unsupported_elsewhere(self, capsys):
         code, out = run_cli(capsys, "comb", "generate", "--nu", "2", "--format", "csv")
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+
+REQUIRED = "required"
+COMMON = {
+    "-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS,
+    "--order": 64, "--tol": 1e-12, "--depth": 6, "--format": "json", "--out": None,
+}
+# each subcommand's own flags: their defaults, or REQUIRED
+OWN = {
+    "comb validate": {"--rho": REQUIRED},
+    "comb generate": {"--nu": REQUIRED},
+    "comb orbit": {"--rho": REQUIRED, "--index": REQUIRED},
+    "knead det": {"--rho": REQUIRED},
+    "knead matrix": {"--rho": REQUIRED},
+    "knead unimodal": {"--prefix": (), "--cycle": REQUIRED},
+    "zeta from-counts": {"--counts": REQUIRED},
+    "zeta sft": {"--matrix": REQUIRED, "--n": REQUIRED},
+    "zeta closed-form": {"--nu": REQUIRED},
+    "zeta mt-check": {"--rho": REQUIRED, "--zeta-num": REQUIRED, "--zeta-den": REQUIRED},
+    "cubic report": {"--s": REQUIRED, "--nmax": 4},
+    "cubic sweep": {"--from": REQUIRED, "--to": REQUIRED, "--steps": REQUIRED},
+    "cubic count": {"--s": REQUIRED, "--n": REQUIRED},
+    "cubic repeller": {"--s": REQUIRED},
+    "fib find-lambda": {},
+    "fib check": {"--lambda": REQUIRED, "--kmax": 6},
+    "series detect-period": {"--coeffs": REQUIRED},
+}
+
+
+def _choices(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestSurface:
+    def test_flags_defaults_and_required_are_pinned(self):
+        got = {}
+        for group, group_parser in _choices(build_parser()).items():
+            for cmd, p in _choices(group_parser).items():
+                got["%s %s" % (group, cmd)] = {
+                    flag: REQUIRED if a.required else a.default
+                    for a in p._actions
+                    for flag in a.option_strings
+                }
+        assert got == {name: {**own, **COMMON} for name, own in OWN.items()}

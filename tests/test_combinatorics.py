@@ -48,13 +48,6 @@ class TestCombinatorics:
         with pytest.raises(ValueError):
             Combinatorics((0,))
 
-    def test_text_round_trip(self):
-        assert Combinatorics.from_text("0,2,3,1,0").entries == RHO0
-
-    def test_json_round_trip(self):
-        c = Combinatorics(RHO0)
-        assert Combinatorics.from_json(c.to_json()) == c
-
 
 class TestPLModel:
     def test_integer_nodes(self):

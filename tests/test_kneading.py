@@ -8,7 +8,6 @@ from intervalzeta.combinatorics import Combinatorics, generate_vu, is_pm, pl_mod
 from intervalzeta.kneading import (
     AmbiguousAddress,
     PMMap,
-    address,
     kneading_determinant,
     kneading_matrix,
     kneading_rational,
@@ -30,45 +29,59 @@ def reflect(rho):
     return tuple(n - rho[n - i] for i in range(n + 1))
 
 
-def pm_rhos(turns, max_n=6):
-    """Piecewise monotone combinatorics vectors with `turns` turning points."""
+@st.composite
+def pm_rhos(draw, turns, max_n=6):
+    """Piecewise monotone combinatorics vectors with `turns` turning points.
 
-    def build(n):
-        return st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1)
+    Built directly, so every such vector with n <= max_n can be drawn and
+    none is rejected: a sign per step with exactly `turns` sign changes,
+    then values in {0..n} that keep every remaining run feasible.
+    """
+    n = draw(st.integers(turns + 1, max_n))
+    flips = draw(st.sets(st.integers(1, n - 1), min_size=turns, max_size=turns))
+    sign = draw(st.sampled_from((1, -1)))
+    signs = []
+    for i in range(n):
+        sign = -sign if i in flips else sign
+        signs.append(sign)
+    # lo[i]..hi[i]: the values at i from which signs[i:] fit inside {0..n}
+    lo, hi = [0] * (n + 1), [n] * (n + 1)
+    for i in reversed(range(n)):
+        if signs[i] > 0:
+            hi[i] = hi[i + 1] - 1
+        else:
+            lo[i] = lo[i + 1] + 1
+    rho = [draw(st.integers(lo[0], hi[0]))]
+    for i in range(n):
+        if signs[i] > 0:
+            rho.append(draw(st.integers(max(rho[-1] + 1, lo[i + 1]), hi[i + 1])))
+        else:
+            rho.append(draw(st.integers(lo[i + 1], min(rho[-1] - 1, hi[i + 1]))))
+    return tuple(rho)
 
-    return (
-        st.integers(turns + 1, max_n)
-        .flatmap(build)
-        .map(lambda e: tuple(e))
-        .filter(lambda e: is_pm(e) and len(turning_points(Combinatorics(e))) == turns)
-    )
+
+class TestPMRhos:
+    @pytest.mark.parametrize("turns", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_draws_have_the_asked_turns(self, turns, data):
+        rho = data.draw(pm_rhos(turns))
+        assert is_pm(rho) and len(turning_points(Combinatorics(rho))) == turns
 
 
 class TestAddress:
-    def test_right_lap(self):
-        pm = PMMap.from_pl_model(pl_model(RHO0))
-        a = address(pm, Q(5, 2))
-        assert (a.kind, a.index) == ("lap", 1)
-
-    def test_turning_symbol(self):
-        pm = PMMap.from_pl_model(pl_model(RHO0))
-        a = address(pm, Q(2))
-        assert (a.kind, a.index) == ("turn", 1)
-
-    def test_left_lap(self):
-        pm = PMMap.from_pl_model(pl_model(RHO0))
-        a = address(pm, Q(1, 2))
-        assert (a.kind, a.index) == ("lap", 0)
+    """Addresses on callables: a tolerance band around each turning point."""
 
     def test_ambiguous_in_tolerance_band(self):
-        pm = PMMap.from_callable(lambda x: 2 * min(x, 2 - x), 0.0, 2.0, (1.0,), 1e-9)
+        # the turning point's image lies 1e-12 from it, inside the 1e-9 band
+        pm = PMMap.from_callable(lambda x: 1.0 + 1e-12 - abs(x - 1.0), 0.0, 2.0, (1.0,), 1e-9)
         with pytest.raises(AmbiguousAddress):
-            address(pm, 1.0 + 1e-12)
+            theta_series(pm, 1, +1, 4)
 
     def test_out_of_domain(self):
-        pm = PMMap.from_pl_model(pl_model(RHO0))
-        with pytest.raises(ValueError):
-            address(pm, Q(9))
+        pm = PMMap.from_callable(lambda x: 3.0 * min(x, 2.0 - x), 0.0, 2.0, (1.0,), 1e-9)
+        with pytest.raises(ValueError, match="left the domain"):
+            theta_series(pm, 1, +1, 4)
 
 
 class TestThetaSeries:

@@ -60,10 +60,6 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             AdjMatrix([[0, -1], [1, 1]])
 
-    def test_json_round_trip(self):
-        a = fib_adjacency()
-        assert AdjMatrix.from_json(a.to_json()) == a
-
 
 class TestPeriodicCounts:
     def test_fibonacci_traces(self):
