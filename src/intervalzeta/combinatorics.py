@@ -69,7 +69,9 @@ class PLModel:
         x = x if isinstance(x, Fraction) else Q(x)
         if not (0 <= x <= self.n):
             raise ValueError("evaluation point %s outside [0, %d]" % (x, self.n))
-        j = min(int(x), self.n - 1)
+        if x.denominator == 1:  # the model takes the value rho[k] at k
+            return Q(self.rho[x.numerator])
+        j = int(x)
         return (self.rho[j + 1] - self.rho[j]) * (x - j) + self.rho[j]
 
     def iterate(self, x, k: int):

@@ -108,7 +108,7 @@ def _sided_lap(pm: PMMap, x, side: int) -> int:
     point must face inward.
     """
     m = pm.modality
-    if x < pm.a - pm.tol or x > pm.b + pm.tol:
+    if (x < pm.a - pm.tol or x > pm.b + pm.tol) if pm.tol else (x < pm.a or x > pm.b):
         raise ValueError("orbit left the domain at %r" % (x,))
     for j, c in enumerate(pm.turning, start=1):
         if x == c:
@@ -123,7 +123,7 @@ def _sided_lap(pm: PMMap, x, side: int) -> int:
         if side > 0 and x == pm.b:
             raise ValueError("side points outside the domain at the right endpoint")
         return m
-    return bisect_left(list(pm.turning), x)
+    return bisect_left(pm.turning, x)
 
 
 def theta_series(pm: PMMap, turn_index: int, side: int, order: int) -> list[TruncSeries]:
@@ -137,14 +137,14 @@ def theta_series(pm: PMMap, turn_index: int, side: int, order: int) -> list[Trun
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     m = pm.modality
-    comps = [[Q(0)] * (order + 1) for _ in range(m + 1)]
+    comps = [[0] * (order + 1) for _ in range(m + 1)]
     state = SidedState(pm.turning[turn_index - 1], side, 1)
     for n in range(order + 1):
         lap = _sided_lap(pm, state.point, state.side)
         comps[lap][n] += state.sign
         if n < order:
             state = _advance(pm, state, lap)
-    return [TruncSeries(order, tuple(c)) for c in comps]
+    return [TruncSeries(order, tuple(map(Q, c))) for c in comps]
 
 
 def _advance(pm: PMMap, state: SidedState, lap: int) -> SidedState:

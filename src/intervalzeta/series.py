@@ -9,7 +9,9 @@ they expand as power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -21,6 +23,13 @@ Q = Fraction
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """The integers d*c and the least common denominator d of rational
+    coefficients, so that products and reciprocals run on ints."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def poly_trim(p: Sequence) -> tuple[Fraction, ...]:
@@ -171,34 +180,34 @@ class TruncSeries:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             return self + (-_frac(other))
-        return self + (-other)
+        n = self._common(other)
+        return TruncSeries(n, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             return TruncSeries(self.order, tuple(a * c for a in self.coeffs))
         n = self._common(other)
-        out = [Q(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return TruncSeries(n, tuple(out))
+        a, da = _scaled(self.coeffs[: n + 1])
+        b, db = _scaled(other.coeffs[: n + 1])
+        d = da * db
+        return TruncSeries(n, tuple(Q(c, d) for c in _convolve(a, b, n)))
 
     __rmul__ = __mul__
 
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        if a[0] == 0:
+        a, d = _scaled(self.coeffs)
+        a0 = a[0]
+        if a0 == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        b = [Q(1) / a[0]]
+        # coefficient n of 1/a is d * beta_n / a0**(n+1), with integers
+        # beta_0 = 1 and beta_n = -sum_{k>=1} a[k] a0**(k-1) beta_{n-k}
+        terms = [(k, a[k] * a0 ** (k - 1)) for k in range(1, len(a)) if a[k]]
+        beta = [1]
         for n in range(1, self.order + 1):
-            s = sum((a[k] * b[n - k] for k in range(1, n + 1)), Q(0))
-            b.append(-s / a[0])
-        return TruncSeries(self.order, tuple(b))
+            beta.append(-sum(c * beta[n - k] for k, c in terms if k <= n))
+        return TruncSeries(self.order, tuple(Q(d * x, a0 ** (n + 1)) for n, x in enumerate(beta)))
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""
@@ -239,8 +248,23 @@ class TruncSeries:
         return "TruncSeries(order=%d, %s)" % (self.order, ", ".join(str(c) for c in self.coeffs))
 
 
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two integer coefficient lists."""
+    nonzero = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in nonzero:
+                if i + j > n:
+                    break
+                out[i + j] += x * y
+    return out
+
+
 def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
-    """Determinant of a square matrix of series, by cofactor expansion.
+    """Determinant of a square matrix of series, by Laplace expansion along
+    the rows, each minor (a set of columns of the trailing rows) computed
+    once.  The entries are scaled to integers over one common denominator.
 
     Intended for the small matrices arising from kneading data (m <= 6).
     """
@@ -252,19 +276,23 @@ def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
     order = min(e.order for r in rows for e in r)
     if m == 1:
         return rows[0][0].truncate(order)
+    d = lcm(*(c.denominator for r in rows for e in r for c in e.coeffs[: order + 1]))
+    entries = [[[c.numerator * (d // c.denominator) for c in e.coeffs[: order + 1]] for e in r] for r in rows]
 
-    def det(rs: list[list[TruncSeries]]) -> TruncSeries:
-        k = len(rs)
-        if k == 1:
-            return rs[0][0]
-        acc = TruncSeries.zero(order)
-        for j in range(k):
-            minor = [[row[jj] for jj in range(k) if jj != j] for row in rs[1:]]
-            term = rs[0][j] * det(minor)
-            acc = acc + (term if j % 2 == 0 else -term)
+    @cache
+    def minor(cols: tuple[int, ...]) -> list[int]:
+        row = entries[m - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        acc = [0] * (order + 1)
+        for k, j in enumerate(cols):
+            term = _convolve(row[j], minor(cols[:k] + cols[k + 1 :]), order)
+            sign = 1 if k % 2 == 0 else -1
+            acc = [x + sign * y for x, y in zip(acc, term)]
         return acc
 
-    return det([[e.truncate(order) for e in r] for r in rows])
+    scale = d**m
+    return TruncSeries(order, tuple(Q(x, scale) for x in minor(tuple(range(m)))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +213,59 @@ class TestRingAxioms:
         if a[0] == 0:
             return
         assert (a * a.recip()).coeffs == TruncSeries.one(8).coeffs
+
+
+# products and reciprocals run on integers scaled over a common denominator;
+# these compare them with plain Fraction arithmetic on rational coefficients
+rational_series = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=8
+).map(lambda cs: TruncSeries.from_coeffs(cs, 7))
+
+
+def naive_product(a, b):
+    n = min(a.order, b.order)
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Q(0)) for k in range(n + 1))
+
+
+def naive_det(rows):
+    """Leibniz formula over truncated products."""
+    m = len(rows)
+    order = min(e.order for r in rows for e in r)
+    acc = [Q(0)] * (order + 1)
+    for perm in permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        term = TruncSeries.one(order)
+        for i, j in enumerate(perm):
+            term = TruncSeries(order, naive_product(term, rows[i][j]))
+        sign = -1 if inversions % 2 else 1
+        acc = [x + sign * y for x, y in zip(acc, term.coeffs)]
+    return tuple(acc)
+
+
+class TestRationalCoefficients:
+    @given(rational_series, rational_series)
+    @settings(max_examples=50)
+    def test_product_matches_fraction_arithmetic(self, a, b):
+        assert (a * b).coeffs == naive_product(a, b)
+
+    @given(rational_series)
+    @settings(max_examples=50)
+    def test_recip_matches_fraction_arithmetic(self, a):
+        if a[0] == 0:
+            return
+        b = [1 / a[0]]
+        for n in range(1, a.order + 1):
+            b.append(-sum((a[k] * b[n - k] for k in range(1, n + 1)), Q(0)) / a[0])
+        assert a.recip().coeffs == tuple(b)
+
+    @given(st.integers(2, 4).flatmap(lambda m: st.lists(
+        st.lists(rational_series, min_size=m, max_size=m), min_size=m, max_size=m)))
+    @settings(max_examples=30)
+    def test_matrix_det_matches_leibniz(self, rows):
+        assert series_matrix_det(rows).coeffs == naive_det(rows)
+
+    def test_matrix_det_truncates_to_smallest_order(self):
+        rows = [[S([Q(1, 2), 1], 5), S([0, 1], 3)], [S([1, Q(-1, 3)], 4), S([2], 6)]]
+        det = series_matrix_det(rows)
+        assert det.order == 3
+        assert det.coeffs == naive_det(rows)
