@@ -296,7 +296,7 @@ def _cmd_cubic_repeller(args):
 
 
 def _cmd_fib_find_lambda(args):
-    result = fibmap.find_fib_lambda(args.depth, Fraction(args.tol).limit_denominator(10**15))
+    result = fibmap.find_fib_lambda(args.depth, args.tol)
     payload = {
         "depth": args.depth,
         "lambda": str(result.lam),

@@ -7,14 +7,22 @@ c_n = a_n / (2 Q^n) gives the integer recurrence
 a_{n+1} = P * min(a_n, 2 Q^n - a_n), so addresses, closest returns, and
 interval endpoints are all decided in exact integer arithmetic.  The
 parameter with Fibonacci combinatorics is isolated by bisection against a
-target kneading prefix, also exactly.
+target kneading prefix.
+
+The exact numerators grow by log2(P) bits per step, so the bisection and
+the closest-return check first run the orbit as outward-rounded dyadic
+integer intervals [lo, hi] * 2^-F, with F = S(depth) + 64 fraction bits.
+A symbol or a distance comparison is accepted only when its enclosure
+decides it; otherwise it is decided on the exact orbit, so every answer is
+the exact one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 Q = Fraction
 
@@ -81,13 +89,18 @@ def target_kneading(depth: int) -> list[int]:
     return [1 if sym == _L else -1 for sym in _target_addresses(depth)]
 
 
+def _check_slope(lam: Fraction | int) -> Fraction:
+    lam = lam if isinstance(lam, Fraction) else Q(lam)
+    if not (1 < lam <= 2):
+        raise ValueError("slope must be in (1, 2]")
+    return lam
+
+
 class TentOrbit:
     """Exact turning-point orbit of the tent map with rational slope."""
 
     def __init__(self, lam: Fraction, length: int):
-        lam = lam if isinstance(lam, Fraction) else Q(lam)
-        if not (1 < lam <= 2):
-            raise ValueError("slope must be in (1, 2]")
+        lam = _check_slope(lam)
         self.lam = lam
         p, q = lam.numerator, lam.denominator
         a = [1]  # c_0 = 1/2 = a_0 / (2 q^0)
@@ -129,6 +142,60 @@ def _parity_lex_cmp(a: Sequence[int], b: Sequence[int]) -> int:
     return 0
 
 
+def _dyadic_orbit(lam: Fraction, frac_bits: int) -> Iterator[tuple[int, int]]:
+    """Enclosures [lo, hi] * 2^-frac_bits of c_0, c_1, ... (frac_bits >= 1).
+
+    Each step rounds lo down and hi up, so every enclosure contains the exact
+    point; its width grows by about a factor lam per step.
+    """
+    p, q = lam.numerator, lam.denominator
+    one = 1 << frac_bits
+    half = one >> 1
+    lo = hi = half
+    while True:
+        yield lo, hi
+        if lo >= half:
+            lo, hi = one - hi, one - lo
+        elif hi > half:  # the enclosure contains c, where min(x, 1 - x) peaks
+            lo, hi = min(lo, one - hi), half
+        lo, hi = lo * p // q, -(-hi * p // q)
+
+
+def _kneading_cmp(lam: Fraction, target: Sequence[int], frac_bits: int) -> int:
+    """_parity_lex_cmp of the addresses of c_1..c_m against target
+    (m = len(target), no turning symbol in target).
+
+    Runs on the dyadic enclosures and stops at the first symbol that differs
+    from the target.  If an enclosure touches c before that, the comparison
+    is made on the exact orbit.
+    """
+    half = 1 << (frac_bits - 1)
+    flip = 1
+    orbit = _dyadic_orbit(lam, frac_bits)
+    next(orbit)  # c_0 = c
+    for want, (lo, hi) in zip(target, orbit):
+        if lo > half:
+            sym = _R
+        elif hi < half:
+            sym = _L
+        else:
+            return _parity_lex_cmp(TentOrbit(lam, len(target)).addresses(1, len(target)), target)
+        if sym != want:
+            return flip * ((sym > want) - (sym < want))
+        if sym == _R:
+            flip = -flip
+    return 0
+
+
+def _exact_tol(tol: Fraction | float) -> Fraction:
+    """A float tol read as the decimal it was most likely written as
+    (1e-10 -> 1/10**10).  Below 1e-15 that reading can round to 0 or up to
+    1e-15, so there the float's exact binary value is used."""
+    if isinstance(tol, Fraction):
+        return tol
+    return Q(tol).limit_denominator(10**15) if tol >= 1e-15 else Q(tol)
+
+
 class BracketError(RuntimeError):
     """The kneading target could not be bracketed in the slope interval."""
 
@@ -153,21 +220,22 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10), max_iter: 
     closes in on the matching parameter window.  The returned slope
     reproduces the target exactly through S(depth) and satisfies the
     closest-return property through depth.
+
+    Each bisection step compares the prefix on dyadic enclosures of the
+    orbit with S(depth) + 64 fraction bits, and only a symbol whose
+    enclosure touches c is decided on the exact orbit, so the result is the
+    one exact bisection gives.
     """
     if depth < 1 or depth > 20:
         raise ValueError("depth must be in 1..20")
-    tol = tol if isinstance(tol, Fraction) else Q(tol).limit_denominator(10**15)
+    tol = _exact_tol(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     target = _target_addresses(depth)
-    m = len(target)
-
-    def cmp_at(lam: Fraction) -> int:
-        orb = TentOrbit(lam, m)
-        return _parity_lex_cmp(orb.addresses(1, m), target)
+    frac_bits = len(target) + 64
 
     lo, hi = Q(1), Q(2)
-    c_hi = cmp_at(hi)
+    c_hi = _kneading_cmp(hi, target, frac_bits)
     if c_hi < 0:
         raise BracketError("target exceeds the full tent kneading")
     for _ in range(max_iter):
@@ -177,7 +245,7 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10), max_iter: 
                 raise BracketError("closest-return property failed at the bisected slope")
             return LambdaResult(lam, (lo, hi), depth)
         mid = (lo + hi) / 2
-        c = cmp_at(mid)
+        c = _kneading_cmp(mid, target, frac_bits)
         if c < 0:
             lo = mid
         else:
@@ -187,14 +255,40 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10), max_iter: 
 
 def orbit_order_holds(lam: Fraction, k_max: int) -> bool:
     """Closest returns: |c_i - c| > |c_S(k-1) - c| for 0 < i < S(k),
-    i != S(k-1), for every k <= k_max."""
-    orb = TentOrbit(lam, _s(k_max))
+    i != S(k-1), for every k <= k_max.
+
+    The distances are compared on dyadic enclosures of c_1..c_{S(k_max)-1}
+    with S(k_max) + 64 fraction bits; a pair whose distance enclosures
+    overlap is compared on the exact orbit.
+    """
+    return _orbit_order_holds(_check_slope(lam), k_max, _s(k_max) + 64)
+
+
+def _orbit_order_holds(lam: Fraction, k_max: int, frac_bits: int) -> bool:
+    half = 1 << (frac_bits - 1)
+    dist = []  # enclosures of |c_n - c| * 2^frac_bits
+    for lo, hi in islice(_dyadic_orbit(lam, frac_bits), _s(k_max)):
+        if lo >= half:
+            dist.append((lo - half, hi - half))
+        elif hi <= half:
+            dist.append((half - hi, half - lo))
+        else:
+            dist.append((0, max(hi - half, half - lo)))
+    exact = None
     for k in range(1, k_max + 1):
         ref = _s(k - 1)
+        ref_lo, ref_hi = dist[ref]
         for i in range(1, _s(k)):
             if i == ref:
                 continue
-            if orb.dist_to_c_cmp(i, ref) <= 0:
+            lo, hi = dist[i]
+            if lo > ref_hi:
+                continue
+            if hi <= ref_lo:
+                return False
+            if exact is None:
+                exact = TentOrbit(lam, _s(k_max) - 1)
+            if exact.dist_to_c_cmp(i, ref) <= 0:
                 return False
     return True
 

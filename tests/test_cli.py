@@ -119,6 +119,13 @@ class TestCubicAndFib:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_fib_find_lambda_tiny_tol(self, capsys):
+        # 1e-20 is below what a denominator of at most 10**15 can express
+        _, default = run_cli(capsys, "fib", "find-lambda", "--depth", "12")
+        code, out = run_cli(capsys, "fib", "find-lambda", "--depth", "12", "--tol", "1e-20")
+        assert code == 0
+        assert json.loads(out)["lambda"] == json.loads(default)["lambda"]
+
     def test_series_detect_period(self, capsys):
         code, out = run_cli(capsys, "series", "detect-period", "--coeffs", "1,-1,-1,-1,-1,-1,-1,-1,-1")
         assert code == 0
