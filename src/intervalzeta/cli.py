@@ -5,8 +5,9 @@ keys, deterministic) or CSV to stdout or --out.  Exit codes: 0 success,
 1 domain failure with a structured reason, 2 usage error.
 
 The whole surface is one table, `_COMMANDS`: group -> (help, {command ->
-(handler, its own arguments)}); every subcommand also takes the `_COMMON`
-flags.  A handler gets the parsed namespace alone; `main` writes a
+(handler, the flags it reads)}); every subcommand also takes the `_COMMON`
+flags.  The `--order` and `--tol` types refuse out-of-range values as usage
+errors.  A handler gets the parsed namespace alone; `main` writes a
 `DomainFailure` or library error it raises as one JSON failure line.
 """
 
@@ -17,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -48,6 +50,26 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("not a comma-separated integer list: %r" % text) from exc
 
 
+def _order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from exc
+    if order < 8:
+        raise argparse.ArgumentTypeError("--order must be >= 8")
+    return order
+
+
+def _tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("not a number: %r" % text) from exc
+    if not 0 < tol < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError("--tol must be > 0 and finite")
+    return tol
+
+
 def _matrix(text: str) -> subshift.AdjMatrix:
     try:
         rows = [[int(tok) for tok in row.split(",")] for row in text.split(";")]
@@ -61,9 +83,9 @@ def _json_line(payload) -> str:
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
-    if args.fmt == "csv":
-        if csv_rows is None:
-            raise DomainFailure("csv output is not available for this subcommand")
+    """Write `payload` as one JSON line, or `csv_rows` under --format csv;
+    only the handlers of subcommands that take --format pass rows."""
+    if csv_rows is not None and args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if csv_header:
@@ -308,6 +330,8 @@ def _cmd_fib_find_lambda(args):
 
 def _cmd_fib_check(args):
     kmax = args.kmax
+    if kmax < 0:
+        raise DomainFailure("kmax must be >= 0")
     family = fibmap.interval_families(args.lam, kmax + 2)
     structure = fibmap.verify_structure(family, kmax)
     diam = fibmap.diameter_ratios(family, kmax)
@@ -358,17 +382,17 @@ def _required(flag: str, parse, **kwargs):
 
 _RHO = _required("--rho", _int_list)
 _S = _required("--s", _fraction)
+_ORDER = ("--order", {"type": _order, "default": 64, "help": "series truncation order (>= 8)"})
+_TOL = ("--tol", {"type": _tol, "default": 1e-12, "help": "numeric tolerance (> 0)"})
+_DEPTH = ("--depth", {"type": int, "default": 6, "help": "depth for word/piece constructions"})
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"})
 
 # every subcommand takes these after its own arguments
 _COMMON = (
-    ("--order", {"type": int, "default": 64, "help": "series truncation order (>= 8)"}),
-    ("--tol", {"type": float, "default": 1e-12, "help": "numeric tolerance (> 0)"}),
-    ("--depth", {"type": int, "default": 6, "help": "depth for word/piece constructions"}),
-    ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"}),
     ("--out", {"default": None, "help": "write output to this path instead of stdout"}),
 )
 
-# group -> (help, {command -> (handler, its own arguments)})
+# group -> (help, {command -> (handler, the flags it reads)})
 _COMMANDS = {
     "comb": ("combinatorics vectors", {
         "validate": (_cmd_comb_validate, [_RHO]),
@@ -376,30 +400,33 @@ _COMMANDS = {
         "orbit": (_cmd_comb_orbit, [_RHO, _required("--index", int)]),
     }),
     "knead": ("kneading data", {
-        "det": (_cmd_knead_det, [_RHO]),
-        "matrix": (_cmd_knead_matrix, [_RHO]),
+        "det": (_cmd_knead_det, [_RHO, _ORDER]),
+        "matrix": (_cmd_knead_matrix, [_RHO, _ORDER]),
         # an immutable default: the cached parser hands it to every call
         "unimodal": (_cmd_knead_unimodal, [("--prefix", {"type": _int_list, "default": ()}),
-                                           _required("--cycle", _int_list)]),
+                                           _required("--cycle", _int_list), _ORDER]),
     }),
     "zeta": ("zeta functions", {
-        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list)]),
+        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list), _ORDER]),
         "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _required("--n", int)]),
-        "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int)]),
+        "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int), _ORDER]),
+        # exact, so --order is ignored; kept because bench/workloads.py and the README pass it
         "mt-check": (_cmd_zeta_mt_check, [_RHO, _required("--zeta-num", _int_list),
-                                          _required("--zeta-den", _int_list)]),
+                                          _required("--zeta-den", _int_list),
+                                          ("--order", {**_ORDER[1], "help": "accepted and ignored"})]),
     }),
     "cubic": ("the cubic family", {
-        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": int, "default": 4})]),
+        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": int, "default": 4}), _TOL, _DEPTH]),
         "sweep": (_cmd_cubic_sweep, [_required("--from", _fraction, dest="start"),
-                                     _required("--to", _fraction, dest="stop"), _required("--steps", int)]),
-        "count": (_cmd_cubic_count, [_S, _required("--n", int)]),
-        "repeller": (_cmd_cubic_repeller, [_S]),
+                                     _required("--to", _fraction, dest="stop"), _required("--steps", int),
+                                     _TOL, _FORMAT]),
+        "count": (_cmd_cubic_count, [_S, _required("--n", int), _TOL]),
+        "repeller": (_cmd_cubic_repeller, [_S, _DEPTH]),
     }),
     "fib": ("Fibonacci tent map", {
-        "find-lambda": (_cmd_fib_find_lambda, []),
+        "find-lambda": (_cmd_fib_find_lambda, [_DEPTH, _TOL]),
         "check": (_cmd_fib_check, [_required("--lambda", _fraction, dest="lam"),
-                                   ("--kmax", {"type": int, "default": 6})]),
+                                   ("--kmax", {"type": int, "default": 6}), _FORMAT]),
     }),
     "series": ("series utilities", {
         "detect-period": (_cmd_series_detect_period, [_required("--coeffs", _int_list)]),
@@ -422,12 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.order < 8:
-        parser.error("--order must be >= 8")
-    if args.tol <= 0:
-        parser.error("--tol must be > 0")
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except (DomainFailure, ValueError, ArithmeticError, RuntimeError) as exc:

@@ -271,8 +271,9 @@ def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
     on each lap the iterate is monotone and sign changes of F^n(x) - x are
     bisected.  Root clusters are deduplicated at 1e-9 times the interval
     length, so a superattracting cycle contributes each point once.
-    Sign-ambiguous samples (|g| below the flag threshold without a clean
-    crossing) are flagged; an unresolvable flag is an error.
+    A sample with |g| below the flag threshold is counted as a root and,
+    unless it is an endpoint of the interval, listed in `flagged`; no
+    further check certifies it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -32,7 +32,6 @@ from intervalzeta.fibmap import (
     TentOrbit,
     cut_times,
     diameter_ratios,
-    interval_families,
     orbit_order_holds,
     target_kneading,
 )
@@ -162,10 +161,10 @@ def test_criterion_10_repeller_pieces():
     _report(10, "piece counts 2..144 match the word counts; disjoint; max diameter strictly decreasing")
 
 
-def test_criterion_11_fibonacci_tent_structure(fib_lambda_12):
+def test_criterion_11_fibonacci_tent_structure(fib_lambda_12, fib_family_10):
     lam = fib_lambda_12
     assert orbit_order_holds(lam, 8)
-    family = interval_families(lam, 10)
+    family = fib_family_10
     for k, expected in PAPER_M_LABELS.items():
         assert [p.label_set for p in family.M[k]] == [frozenset(pair) for pair in expected]
     report = diameter_ratios(family, 8)

@@ -119,6 +119,12 @@ class TestCubicAndFib:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("kmax", ["-1", "-2", "-3"])
+    def test_fib_check_negative_kmax(self, capsys, kmax):
+        code, out = run_cli(capsys, "fib", "check", "--lambda", "111/64", "--kmax", kmax)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "kmax must be >= 0"}
+
     def test_fib_find_lambda_tiny_tol(self, capsys):
         # 1e-20 is below what a denominator of at most 10**15 can express
         _, default = run_cli(capsys, "fib", "find-lambda", "--depth", "12")
@@ -144,12 +150,17 @@ class TestContract:
         assert exc.value.code == 2
 
     def test_config_invariants(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["comb", "generate", "--nu", "2", "--order", "4"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["comb", "generate", "--nu", "2", "--tol", "0"])
-        assert exc.value.code == 2
+        cases = [(["knead", "det", "--rho", "0,2,0", "--order", "4"], "--order must be >= 8")]
+        cases += [
+            (["cubic", "count", "--s", "1", "--n", "2", "--tol=" + tol], "--tol must be > 0")
+            for tol in ("0", "nan", "inf", "-inf")
+        ]
+        cases += [(["fib", "find-lambda", "--depth", "3", "--tol", "inf"], "--tol must be > 0")]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"
@@ -186,36 +197,57 @@ class TestContract:
         assert code == 0 and '"prefix":[]' in out
 
     def test_csv_unsupported_elsewhere(self, capsys):
-        code, out = run_cli(capsys, "comb", "generate", "--nu", "2", "--format", "csv")
-        assert code == 1
-        assert json.loads(out)["ok"] is False
+        with pytest.raises(SystemExit) as exc:
+            main(["comb", "generate", "--nu", "2", "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 REQUIRED = "required"
-COMMON = {
-    "-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS,
-    "--order": 64, "--tol": 1e-12, "--depth": 6, "--format": "json", "--out": None,
-}
+COMMON = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS, "--out": None}
+ORDER, TOL, DEPTH, FORMAT = {"--order": 64}, {"--tol": 1e-12}, {"--depth": 6}, {"--format": "json"}
 # each subcommand's own flags: their defaults, or REQUIRED
 OWN = {
     "comb validate": {"--rho": REQUIRED},
     "comb generate": {"--nu": REQUIRED},
     "comb orbit": {"--rho": REQUIRED, "--index": REQUIRED},
-    "knead det": {"--rho": REQUIRED},
-    "knead matrix": {"--rho": REQUIRED},
-    "knead unimodal": {"--prefix": (), "--cycle": REQUIRED},
-    "zeta from-counts": {"--counts": REQUIRED},
+    "knead det": {"--rho": REQUIRED, **ORDER},
+    "knead matrix": {"--rho": REQUIRED, **ORDER},
+    "knead unimodal": {"--prefix": (), "--cycle": REQUIRED, **ORDER},
+    "zeta from-counts": {"--counts": REQUIRED, **ORDER},
     "zeta sft": {"--matrix": REQUIRED, "--n": REQUIRED},
-    "zeta closed-form": {"--nu": REQUIRED},
-    "zeta mt-check": {"--rho": REQUIRED, "--zeta-num": REQUIRED, "--zeta-den": REQUIRED},
-    "cubic report": {"--s": REQUIRED, "--nmax": 4},
-    "cubic sweep": {"--from": REQUIRED, "--to": REQUIRED, "--steps": REQUIRED},
-    "cubic count": {"--s": REQUIRED, "--n": REQUIRED},
-    "cubic repeller": {"--s": REQUIRED},
-    "fib find-lambda": {},
-    "fib check": {"--lambda": REQUIRED, "--kmax": 6},
+    "zeta closed-form": {"--nu": REQUIRED, **ORDER},
+    "zeta mt-check": {"--rho": REQUIRED, "--zeta-num": REQUIRED, "--zeta-den": REQUIRED, **ORDER},
+    "cubic report": {"--s": REQUIRED, "--nmax": 4, **TOL, **DEPTH},
+    "cubic sweep": {"--from": REQUIRED, "--to": REQUIRED, "--steps": REQUIRED, **TOL, **FORMAT},
+    "cubic count": {"--s": REQUIRED, "--n": REQUIRED, **TOL},
+    "cubic repeller": {"--s": REQUIRED, **DEPTH},
+    "fib find-lambda": {**DEPTH, **TOL},
+    "fib check": {"--lambda": REQUIRED, "--kmax": 6, **FORMAT},
     "series detect-period": {"--coeffs": REQUIRED},
 }
+# an argv each subcommand parses
+VALID = {
+    "comb validate": ["--rho", "0,2,0"],
+    "comb generate": ["--nu", "2"],
+    "comb orbit": ["--rho", "0,2,0", "--index", "1"],
+    "knead det": ["--rho", "0,2,0"],
+    "knead matrix": ["--rho", "0,2,0"],
+    "knead unimodal": ["--cycle=1"],
+    "zeta from-counts": ["--counts", "1,3"],
+    "zeta sft": ["--matrix", "0,1;1,1", "--n", "3"],
+    "zeta closed-form": ["--nu", "2"],
+    "zeta mt-check": ["--rho", "0,2,0", "--zeta-num", "1", "--zeta-den", "1,-2"],
+    "cubic report": ["--s", "1"],
+    "cubic sweep": ["--from", "1", "--to", "6/5", "--steps", "1"],
+    "cubic count": ["--s", "1", "--n", "2"],
+    "cubic repeller": ["--s", "1"],
+    "fib find-lambda": [],
+    "fib check": ["--lambda", "111/64"],
+    "series detect-period": ["--coeffs", "1,-1"],
+}
+# a valid value for each flag that only some subcommands take
+SHARED = {"--order": "64", "--tol": "1e-3", "--depth": "3", "--format": "json"}
 
 
 def _choices(parser):
@@ -234,3 +266,14 @@ class TestSurface:
                     for flag in a.option_strings
                 }
         assert got == {name: {**own, **COMMON} for name, own in OWN.items()}
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in OWN for flag in SHARED if flag not in OWN[name]
+    ])
+    def test_unread_shared_flag_is_usage_error(self, capsys, name, flag):
+        argv = name.split() + VALID[name]
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [flag, SHARED[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err

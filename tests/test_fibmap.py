@@ -277,14 +277,12 @@ class TestIntervalFamilies:
 
 
 class TestDiameterRatios:
-    def test_exact_recurrence(self, fib_lambda_12):
-        family = interval_families(fib_lambda_12, 10)
-        report = diameter_ratios(family, 8)
+    def test_exact_recurrence(self, fib_family_10):
+        report = diameter_ratios(fib_family_10, 8)
         assert all(r == 0 for r in report.residuals)
 
-    def test_ratios_and_normalization(self, fib_lambda_12):
-        family = interval_families(fib_lambda_12, 10)
-        report = diameter_ratios(family, 8)
+    def test_ratios_and_normalization(self, fib_family_10):
+        report = diameter_ratios(fib_family_10, 8)
         assert all(v > 1 for v in report.nu)
         assert all(0 < c < 1 for c in report.C)
         assert all(a < b for a, b in zip(report.C, report.C[1:]))
