@@ -20,10 +20,10 @@ from .combinatorics import (
 )
 from .kneading import (
     KneadingData,
-    PMMap,
     kneading_determinant,
     kneading_matrix,
     kneading_rational,
+    lap_shape,
     theta_series,
     unimodal_kneading,
     unimodal_rational_form,
@@ -37,7 +37,6 @@ from .series import (
     detect_eventual_periodicity,
     rational_from_eventually_periodic,
     rf_to_series,
-    series_matches_rf,
     series_matrix_det,
 )
 from .subshift import AdjMatrix, fib_adjacency, fib_language, fib_numbers, sft_periodic_counts, vee_map

@@ -165,14 +165,14 @@ def _cmd_comb_orbit(args):
 
 def _cmd_knead_det(args):
     model = comb.pl_model(args.rho)
-    pm = kneading.PMMap.from_pl_model(model)
-    det = rf_to_series(kneading.kneading_rational(pm), args.order)
+    shape = kneading.lap_shape(model)
+    det = kneading.kneading_determinant(model, args.order)
     payload = {
         "rho": list(model.rho),
-        "shape": list(pm.shape),
+        "shape": list(shape),
         "determinant": det.to_json(),
-        # kneading_rational has checked that every deletable column agrees
-        "per_column": [det.to_json()] * (pm.modality + 1),
+        # kneading_determinant has checked that every deletable column agrees
+        "per_column": [det.to_json()] * len(shape),
     }
     _emit(payload, args)
 
@@ -221,7 +221,7 @@ def _cmd_zeta_sft(args):
 
 def _cmd_zeta_closed_form(args):
     rf = zeta.zeta_vu_closed_form(args.nu)
-    counts = zeta.counts_from_zeta(rf, min(args.order, 24))
+    counts = zeta.counts_from_zeta(rf, args.order)
     _emit({"nu": args.nu, "zeta": rf.to_json(), "counts": counts}, args)
 
 
@@ -245,6 +245,8 @@ def _cubic_counts(s: Fraction, n_max: int, tol: float) -> list[int]:
 
 
 def _cmd_cubic_report(args):
+    if args.nmax < 1:
+        raise DomainFailure("nmax must be >= 1")
     s = args.s
     poly, par = cubicfam.cubic_family(s)
     alpha, beta = cubicfam.filled_julia_endpoints(s, args.tol)
@@ -409,7 +411,9 @@ _COMMANDS = {
     "zeta": ("zeta functions", {
         "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list), _ORDER]),
         "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _required("--n", int)]),
-        "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int), _ORDER]),
+        "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int),
+                                                 ("--order", {**_ORDER[1], "default": 24,
+                                                              "help": "number of counts N_1..N_order"})]),
         # exact, so --order is ignored; kept because bench/workloads.py and the README pass it
         "mt-check": (_cmd_zeta_mt_check, [_RHO, _required("--zeta-num", _int_list),
                                           _required("--zeta-den", _int_list),

@@ -1,15 +1,13 @@
-"""Kneading machinery for piecewise monotone interval maps.
+"""Kneading machinery for the PL models of piecewise monotone interval maps.
 
 One-sided itineraries of turning points are computed symbolically: a sided
 state (point, side, accumulated sign) is advanced by the map, the next side
 being the current side times the slope sign of the lap the sided point sits
-in.  On PL models this is exact; no perturbation is ever needed.  Smooth
-maps given as callables use a tolerance band around each turning point and
-refuse to guess inside it.
+in.  On PL models this is exact; no perturbation is ever needed.
 
 The increments assemble into the kneading matrix, and the determinant is
-computed from every deletable column and cross-checked: exactly, as a
-rational function, on PL models, and as a truncated series on callables.
+computed from every deletable column and cross-checked, exactly, as a
+rational function.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .combinatorics import PLModel, turning_points
 from .series import (
@@ -30,10 +28,6 @@ from .series import (
     rf_to_series,
     series_matrix_det,
 )
-
-
-class AmbiguousAddress(ValueError):
-    """A point fell inside the tolerance band of a turning point."""
 
 
 class KneadingError(RuntimeError):
@@ -51,106 +45,62 @@ class SidedState:
     sign: int
 
 
-@dataclass
-class PMMap:
-    """Piecewise monotone map data: domain, turning points, shape, callable.
-
-    ``tol`` of 0 means exact comparisons (PL models with Fraction data);
-    a positive tol gives each turning point a band of radius tol inside
-    which addresses are ambiguous.
-    """
-
-    a: object
-    b: object
-    turning: tuple
-    shape: tuple[int, ...]
-    f: Callable
-    tol: object = 0
-
-    def __post_init__(self):
-        if len(self.shape) != len(self.turning) + 1:
-            raise ValueError("shape needs one sign per lap")
-        if any(s not in (1, -1) for s in self.shape):
-            raise ValueError("shape entries must be +1 or -1")
-        if any(self.shape[i] == self.shape[i + 1] for i in range(len(self.shape) - 1)):
-            raise ValueError("shape signs must alternate")
-
-    @property
-    def modality(self) -> int:
-        return len(self.turning)
-
-    @classmethod
-    def from_pl_model(cls, model: PLModel) -> "PMMap":
-        trn = turning_points(model.rho)
-        if not trn:
-            raise ValueError("model has no turning points")
-        cuts = [0] + trn
-        shape = tuple(1 if model.rho[c + 1] > model.rho[c] else -1 for c in cuts)
-        return cls(Q(0), Q(model.n), tuple(Q(c) for c in trn), shape, model)
-
-    @classmethod
-    def from_callable(
-        cls, f: Callable, a: float, b: float, turning: Sequence[float], tol: float | None = None
-    ) -> "PMMap":
-        if tol is None:
-            tol = 1e-12 * (b - a)
-        if tol <= 0:
-            raise ValueError("smooth maps need a positive tolerance band")
-        cuts = [a, *turning, b]
-        shape = tuple(1 if f(cuts[i + 1]) > f(cuts[i]) else -1 for i in range(len(cuts) - 1))
-        return cls(a, b, tuple(turning), shape, f, tol)
+def _laps(model: PLModel) -> tuple[list[int], tuple[int, ...]]:
+    """The turning points of a model and the slope sign of each lap."""
+    trn = turning_points(model.rho)
+    if not trn:
+        raise ValueError("model has no turning points")
+    return trn, tuple(1 if model.slope(c) > 0 else -1 for c in [0, *trn])
 
 
-def _sided_lap(pm: PMMap, x, side: int) -> int:
-    """Lap index of points immediately on `side` of x.
+def lap_shape(model: PLModel) -> tuple[int, ...]:
+    """The slope sign of each lap of a model: +1 rising, -1 falling."""
+    return _laps(model)[1]
+
+
+def _sided_lap(turning: Sequence[int], n: int, x, side: int) -> int:
+    """Lap index of points immediately on `side` of x in [0, n].
 
     A turning point resolves to its adjacent lap on that side; a boundary
     point must face inward.
     """
-    m = pm.modality
-    if (x < pm.a - pm.tol or x > pm.b + pm.tol) if pm.tol else (x < pm.a or x > pm.b):
+    if not 0 <= x <= n:
         raise ValueError("orbit left the domain at %r" % (x,))
-    for j, c in enumerate(pm.turning, start=1):
-        if x == c:
-            return j - 1 if side < 0 else j
-        if pm.tol and abs(x - c) <= pm.tol:
-            raise AmbiguousAddress("sided point %r within tolerance band of %r" % (x, c))
-    if x == pm.a or (pm.tol and abs(x - pm.a) <= pm.tol):
-        if side < 0 and x == pm.a:
-            raise ValueError("side points outside the domain at the left endpoint")
-        return 0
-    if x == pm.b or (pm.tol and abs(x - pm.b) <= pm.tol):
-        if side > 0 and x == pm.b:
-            raise ValueError("side points outside the domain at the right endpoint")
-        return m
-    return bisect_left(pm.turning, x)
+    lap = bisect_left(turning, x)
+    if lap < len(turning) and turning[lap] == x:
+        return lap if side < 0 else lap + 1
+    if x == 0 and side < 0:
+        raise ValueError("side points outside the domain at the left endpoint")
+    if x == n and side > 0:
+        raise ValueError("side points outside the domain at the right endpoint")
+    return lap
 
 
-def theta_series(pm: PMMap, turn_index: int, side: int, order: int) -> list[TruncSeries]:
+def _sided_orbit(model: PLModel, turning, shape, state: SidedState) -> Iterator[tuple[SidedState, int]]:
+    """The sided states from `state` on, each with the lap it sits in."""
+    while True:
+        lap = _sided_lap(turning, model.n, state.point, state.side)
+        yield state, lap
+        s = shape[lap]
+        state = SidedState(model(state.point), state.side * s, state.sign * s)
+
+
+def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list[TruncSeries]:
     """Signed one-sided itinerary of c_i as m+1 coefficient series.
 
     Component j collects the coefficients of the lap symbol I_j in
     theta(c_i^side) = sum_n eps_0...eps_{n-1} A_n t^n.
     """
-    if not (1 <= turn_index <= pm.modality):
+    turning, shape = _laps(model)
+    if not (1 <= turn_index <= len(turning)):
         raise ValueError("turning index out of range")
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
-    m = pm.modality
-    comps = [[0] * (order + 1) for _ in range(m + 1)]
-    state = SidedState(pm.turning[turn_index - 1], side, 1)
-    for n in range(order + 1):
-        lap = _sided_lap(pm, state.point, state.side)
+    comps = [[0] * (order + 1) for _ in shape]
+    orbit = _sided_orbit(model, turning, shape, SidedState(Q(turning[turn_index - 1]), side, 1))
+    for n, (state, lap) in zip(range(order + 1), orbit):
         comps[lap][n] += state.sign
-        if n < order:
-            state = _advance(pm, state, lap)
     return [TruncSeries(order, tuple(map(Q, c))) for c in comps]
-
-
-def _advance(pm: PMMap, state: SidedState, lap: int) -> SidedState:
-    """The sided state one iterate later, given the lap it sits in."""
-    s = pm.shape[lap]
-    return SidedState(pm.f(state.point), state.side * s, state.sign * s)
 
 
 @dataclass(frozen=True)
@@ -167,25 +117,19 @@ class KneadingData:
         return self.matrix[0][0].order
 
 
-def _as_pm(pm_or_model) -> PMMap:
-    return PMMap.from_pl_model(pm_or_model) if isinstance(pm_or_model, PLModel) else pm_or_model
-
-
-def kneading_matrix(pm_or_model, order: int) -> KneadingData:
+def kneading_matrix(model: PLModel, order: int) -> KneadingData:
     """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as a matrix."""
-    pm = _as_pm(pm_or_model)
-    m = pm.modality
-    if m < 1:
-        raise ValueError("map has no turning points")
+    shape = lap_shape(model)
     rows = []
-    for i in range(1, m + 1):
-        plus = theta_series(pm, i, +1, order)
-        minus = theta_series(pm, i, -1, order)
-        rows.append(tuple(plus[j] - minus[j] for j in range(m + 1)))
-    return KneadingData(pm.shape, tuple(rows))
+    for i in range(1, len(shape)):
+        plus = theta_series(model, i, +1, order)
+        minus = theta_series(model, i, -1, order)
+        rows.append(tuple(p - q for p, q in zip(plus, minus)))
+    return KneadingData(shape, tuple(rows))
 
 
 def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
+    """The determinant through t^order from each deletable column."""
     m = kd.modality
     order = kd.order
     out = []
@@ -210,23 +154,13 @@ def _cross_checked(cands: list[TruncSeries]) -> TruncSeries:
     return first
 
 
-def per_column_determinants(pm_or_model, order: int) -> list[TruncSeries]:
-    """The candidate determinant from each deletable column, for inspection:
-    on a PL model the expansion of kneading_rational, which has checked the
-    columns exactly, and on a map given as a callable truncated at `order`."""
-    pm = _as_pm(pm_or_model)
-    if isinstance(pm.f, PLModel):
-        return [rf_to_series(kneading_rational(pm), order)] * (pm.modality + 1)
-    return _column_determinants(kneading_matrix(pm, order))
+def kneading_determinant(model: PLModel, order: int) -> TruncSeries:
+    """The kneading determinant D(t) through t^order: the expansion of
+    kneading_rational, which has cross-checked every column exactly."""
+    return rf_to_series(kneading_rational(model), order)
 
 
-def kneading_determinant(pm_or_model, order: int) -> TruncSeries:
-    """The kneading determinant D(t) through t^order, cross-checked over
-    every column."""
-    return _cross_checked(per_column_determinants(pm_or_model, order))
-
-
-def _exact_matrix(pm: PMMap) -> tuple[KneadingData, list[tuple[int, int]]]:
+def _exact_matrix(model: PLModel) -> tuple[KneadingData, list[tuple[int, int]]]:
     """The kneading matrix of a PL model through t^N with a preperiod P_i
     and period L_i of each row, N = sum_i (P_i + L_i).
 
@@ -234,20 +168,19 @@ def _exact_matrix(pm: PMMap) -> tuple[KneadingData, list[tuple[int, int]]]:
     so past its first term row i repeats with the sided state of c_i^+; on a
     PL model that state ranges over finitely many (integer point, side, sign).
     """
-    if not isinstance(pm.f, PLModel):
-        raise ValueError("exact kneading data needs a PL model")
+    turning, shape = _laps(model)
     periods = []
-    for c in pm.turning:
+    for c in turning:
         seen: dict[SidedState, int] = {}
-        state = SidedState(c, 1, 1)
-        while state not in seen:
+        for state, _ in _sided_orbit(model, turning, shape, SidedState(Q(c), 1, 1)):
+            if state in seen:
+                break
             seen[state] = len(seen)
-            state = _advance(pm, state, _sided_lap(pm, state.point, state.side))
         periods.append((max(seen[state], 1), len(seen) - seen[state]))
-    return kneading_matrix(pm, sum(p + k for p, k in periods)), periods
+    return kneading_matrix(model, sum(p + k for p, k in periods)), periods
 
 
-def kneading_rational(pm_or_model) -> RationalFn:
+def kneading_rational(model: PLModel) -> RationalFn:
     """The kneading determinant D(t) of a PL model as an exact rational function.
 
     (1 - t^L_i) times an entry of row i is a polynomial of degree below
@@ -256,7 +189,7 @@ def kneading_rational(pm_or_model) -> RationalFn:
     agree through t^N agree exactly, and since the shape signs s_col take
     both values, D(t) Pi is then a polynomial of degree below N - m.
     """
-    return _rational_determinant(*_exact_matrix(_as_pm(pm_or_model)))
+    return _rational_determinant(*_exact_matrix(model))
 
 
 def _rational_determinant(kd: KneadingData, periods: list[tuple[int, int]]) -> RationalFn:
@@ -343,7 +276,7 @@ class VUStructureReport:
     determinant_factors_through_dominant: bool
 
 
-def vu_structure_check(pm_or_model, dominant_row: int) -> VUStructureReport:
+def vu_structure_check(model: PLModel, dominant_row: int) -> VUStructureReport:
     """Structure of the kneading matrix forced by virtual unimodality.
 
     For dominant turning point c_j (row j, adjacent laps j-1 and j) of a PL
@@ -353,12 +286,12 @@ def vu_structure_check(pm_or_model, dominant_row: int) -> VUStructureReport:
     polynomial (the dominant row keeps only that entry, its other components
     vanishing identically).  Both tests are exact.
     """
-    pm = _as_pm(pm_or_model)
-    m = pm.modality
+    shape = lap_shape(model)
+    m = len(shape) - 1
     j = dominant_row
     if not (1 <= j <= m):
         raise ValueError("dominant row out of range")
-    kd, periods = _exact_matrix(pm)
+    kd, periods = _exact_matrix(model)
     # the repeating part of every entry's coefficients
     cycles = [[e.coeffs[p : p + k] for e in row] for row, (p, k) in zip(kd.matrix, periods)]
 
@@ -372,6 +305,6 @@ def vu_structure_check(pm_or_model, dominant_row: int) -> VUStructureReport:
 
     pivot = rational_from_eventually_periodic(kd.matrix[j - 1][j].coeffs[: periods[j - 1][0]], cycles[j - 1][j])
     # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t)
-    minor = _rational_determinant(kd, periods) * RationalFn.from_poly((1, -pm.shape[j - 1]))
+    minor = _rational_determinant(kd, periods) * RationalFn.from_poly((1, -shape[j - 1]))
     factors_ok = pivot.at_zero() != 0 and (minor * pivot.reciprocal()).den == (1,)
     return VUStructureReport(rows_ok and factors_ok, rows_ok, factors_ok)

@@ -232,15 +232,6 @@ class TruncSeries:
             l.append(u[n] - s / n)
         return TruncSeries(self.order, tuple(l))
 
-    def compose_scale(self, c) -> "TruncSeries":
-        """Substitute t -> c*t."""
-        c = _frac(c)
-        out, p = [], Q(1)
-        for a in self.coeffs:
-            out.append(a * p)
-            p *= c
-        return TruncSeries(self.order, tuple(out))
-
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
@@ -355,10 +346,6 @@ def rf_to_series(rf: RationalFn, order: int) -> TruncSeries:
             s -= den[k] * out[n - k]
         out.append(s)  # den[0] == 1 by normalization
     return TruncSeries(order, tuple(out))
-
-
-def series_matches_rf(s: TruncSeries, rf: RationalFn) -> bool:
-    return s.coeffs == rf_to_series(rf, s.order).coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from intervalzeta import fibmap, kneading
+from intervalzeta import cubicfam, fibmap, kneading
 from intervalzeta.cli import build_parser, main
 
 
@@ -56,6 +56,13 @@ class TestZeta:
         code, out = run_cli(capsys, "zeta", "closed-form", "--nu", "2")
         assert code == 0
         assert json.loads(out)["counts"][:6] == [1, 5, 7, 9, 11, 23]
+
+    def test_closed_form_order(self, capsys):
+        _, default = run_cli(capsys, "zeta", "closed-form", "--nu", "3")
+        code, out = run_cli(capsys, "zeta", "closed-form", "--nu", "3", "--order", "30")
+        assert code == 0
+        counts = json.loads(out)["counts"]
+        assert len(counts) == 30 and counts[:24] == json.loads(default)["counts"]
 
     def test_mt_check_full_tent(self, capsys):
         code, out = run_cli(
@@ -125,6 +132,14 @@ class TestCubicAndFib:
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "kmax must be >= 0"}
 
+    @pytest.mark.parametrize("nmax", ["0", "-1"])
+    def test_cubic_report_nonpositive_nmax(self, capsys, monkeypatch, nmax):
+        # refused before any numeric work
+        monkeypatch.setattr(cubicfam, "cubic_family", None)
+        code, out = run_cli(capsys, "cubic", "report", "--s", "6/5", "--nmax", nmax)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "nmax must be >= 1"}
+
     def test_fib_find_lambda_tiny_tol(self, capsys):
         # 1e-20 is below what a denominator of at most 10**15 can express
         _, default = run_cli(capsys, "fib", "find-lambda", "--depth", "12")
@@ -175,7 +190,7 @@ class TestContract:
         payload = json.loads(out)
         assert payload["ok"] is False and "missing" in payload["reason"]
 
-    @pytest.mark.parametrize("error", [kneading.KneadingError, kneading.AmbiguousAddress])
+    @pytest.mark.parametrize("error", [kneading.KneadingError])
     def test_kneading_errors_are_domain_failures(self, capsys, monkeypatch, error):
         def fail(_):
             raise error("forced")
@@ -216,7 +231,7 @@ OWN = {
     "knead unimodal": {"--prefix": (), "--cycle": REQUIRED, **ORDER},
     "zeta from-counts": {"--counts": REQUIRED, **ORDER},
     "zeta sft": {"--matrix": REQUIRED, "--n": REQUIRED},
-    "zeta closed-form": {"--nu": REQUIRED, **ORDER},
+    "zeta closed-form": {"--nu": REQUIRED, "--order": 24},
     "zeta mt-check": {"--rho": REQUIRED, "--zeta-num": REQUIRED, "--zeta-den": REQUIRED, **ORDER},
     "cubic report": {"--s": REQUIRED, "--nmax": 4, **TOL, **DEPTH},
     "cubic sweep": {"--from": REQUIRED, "--to": REQUIRED, "--steps": REQUIRED, **TOL, **FORMAT},

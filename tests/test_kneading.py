@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from intervalzeta.combinatorics import Combinatorics, generate_vu, is_pm, pl_model, turning_points
 from intervalzeta.kneading import (
-    AmbiguousAddress,
-    PMMap,
+    _column_determinants,
+    _sided_lap,
     kneading_determinant,
     kneading_matrix,
     kneading_rational,
-    per_column_determinants,
+    lap_shape,
     theta_series,
     unimodal_eps,
     unimodal_kneading,
@@ -61,7 +61,7 @@ def pm_rhos(draw, turns, max_n=6):
 
 
 class TestPMRhos:
-    @pytest.mark.parametrize("turns", [1, 2])
+    @pytest.mark.parametrize("turns", [1, 2, 3])
     @given(data=st.data())
     @settings(max_examples=60)
     def test_draws_have_the_asked_turns(self, turns, data):
@@ -70,38 +70,39 @@ class TestPMRhos:
 
 
 class TestAddress:
-    """Addresses on callables: a tolerance band around each turning point."""
-
-    def test_ambiguous_in_tolerance_band(self):
-        # the turning point's image lies 1e-12 from it, inside the 1e-9 band
-        pm = PMMap.from_callable(lambda x: 1.0 + 1e-12 - abs(x - 1.0), 0.0, 2.0, (1.0,), 1e-9)
-        with pytest.raises(AmbiguousAddress):
-            theta_series(pm, 1, +1, 4)
+    """Laps of sided points: turning points resolve by side, endpoints face inward."""
 
     def test_out_of_domain(self):
-        pm = PMMap.from_callable(lambda x: 3.0 * min(x, 2.0 - x), 0.0, 2.0, (1.0,), 1e-9)
         with pytest.raises(ValueError, match="left the domain"):
-            theta_series(pm, 1, +1, 4)
+            _sided_lap([1], 2, Q(5, 2), +1)
+
+    def test_sides(self):
+        sided = ((1, -1), (1, 1), (3, -1), (3, 1))
+        assert [_sided_lap([1, 3], 4, x, side) for x, side in sided] == [0, 1, 1, 2]
+        assert [_sided_lap([1, 3], 4, x, 1) for x in (0, Q(1, 2), 2, Q(7, 2))] == [0, 0, 1, 2]
+        assert _sided_lap([1, 3], 4, 4, -1) == 2
+        for x, side in ((0, -1), (4, 1)):
+            with pytest.raises(ValueError, match="outside the domain"):
+                _sided_lap([1, 3], 4, x, side)
 
 
 class TestThetaSeries:
     def test_full_tent_plus_side(self):
-        pm = PMMap.from_pl_model(pl_model(FULL_TENT))
-        comps = theta_series(pm, 1, +1, 5)
+        comps = theta_series(pl_model(FULL_TENT), 1, +1, 5)
         assert comps[1].coeffs == (1, -1, 0, 0, 0, 0)
         assert comps[0].coeffs == (0, 0, 1, 1, 1, 1)
 
     def test_order_zero_term_is_signed_side_lap(self):
-        pm = PMMap.from_pl_model(pl_model(RHO0))
-        plus = theta_series(pm, 1, +1, 0)
-        minus = theta_series(pm, 1, -1, 0)
+        model = pl_model(RHO0)
+        plus = theta_series(model, 1, +1, 0)
+        minus = theta_series(model, 1, -1, 0)
         assert plus[1][0] == 1 and plus[0][0] == 0
         assert minus[0][0] == 1 and minus[1][0] == 0
 
     def test_increment_leading_structure(self):
-        pm = PMMap.from_pl_model(pl_model(RHO0))
-        plus = theta_series(pm, 1, +1, 8)
-        minus = theta_series(pm, 1, -1, 8)
+        model = pl_model(RHO0)
+        plus = theta_series(model, 1, +1, 8)
+        minus = theta_series(model, 1, -1, 8)
         nu_right = plus[1] - minus[1]
         nu_left = plus[0] - minus[0]
         assert nu_right[0] == 1 and nu_left[0] == -1
@@ -117,16 +118,22 @@ class TestKneadingDeterminant:
         assert det.coeffs == rf_to_series(RationalFn((1, -1, -1), (1, 0, 0, -1)), 48).coeffs
 
     def test_column_independence(self):
-        cols = per_column_determinants(pl_model(generate_vu(2)), 32)
-        assert all(c.coeffs == cols[0].coeffs for c in cols)
+        cols = _column_determinants(kneading_matrix(pl_model(generate_vu(2)), 32))
+        assert len(cols) == 3 and all(c.coeffs == cols[0].coeffs for c in cols)
 
     def test_leading_coefficient_is_one(self):
         for rho in (RHO0, FULL_TENT, tuple(generate_vu(2)), tuple(generate_vu(3))):
             assert kneading_determinant(pl_model(rho), 16)[0] == 1
 
     def test_monotone_model_has_no_matrix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no turning points"):
             kneading_matrix(pl_model((0, 1, 2, 3)), 8)
+
+    def test_lap_shape(self):
+        assert lap_shape(pl_model(RHO0)) == (1, -1)
+        assert lap_shape(pl_model((5, 2, 3, 4, 2, 0))) == (-1, 1, -1)
+        with pytest.raises(ValueError, match="no turning points"):
+            lap_shape(pl_model((3, 2, 1, 0)))
 
     @pytest.mark.parametrize("rho", [RHO0, FULL_TENT, (5, 2, 3, 4, 2, 0)])
     def test_reflection_invariance(self, rho):
@@ -137,12 +144,6 @@ class TestKneadingDeterminant:
     def test_integer_coefficients(self):
         det = kneading_determinant(pl_model(generate_vu(3)), 32)
         assert all(c.denominator == 1 for c in det.coeffs)
-
-    def test_floating_map_path(self):
-        # the full tent as a plain callable with the default tolerance band
-        pm = PMMap.from_callable(lambda x: 2.0 * min(x, 1.0 - x), 0.0, 1.0, (0.5,))
-        det = kneading_determinant(pm, 16)
-        assert det.coeffs == rf_to_series(RationalFn((1, -2), (1, -1)), 16).coeffs
 
 
 class TestKneadingRational:
@@ -158,18 +159,13 @@ class TestKneadingRational:
     def test_closed_forms(self, rho, expected):
         assert kneading_rational(pl_model(rho)) == expected
 
-    @given(st.one_of(pm_rhos(1), pm_rhos(2)))
+    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)))
     @settings(max_examples=60, deadline=None)
-    def test_expansion_matches_truncated_callable_path(self, rho):
+    def test_expansion_matches_truncated_columns(self, rho):
+        # the truncated matrix needs neither the period detection nor the degree bound
         model = pl_model(rho)
-        # a plain callable hides the PL model, so the truncated path runs
-        pm = PMMap.from_callable(lambda x: model(x), 0, model.n, turning_points(model.rho))
-        assert rf_to_series(kneading_rational(model), 48).coeffs == kneading_determinant(pm, 48).coeffs
-
-    def test_rejects_callable_map(self):
-        pm = PMMap.from_callable(lambda x: 2.0 * min(x, 1.0 - x), 0.0, 1.0, (0.5,))
-        with pytest.raises(ValueError):
-            kneading_rational(pm)
+        expansion = rf_to_series(kneading_rational(model), 48).coeffs
+        assert all(c.coeffs == expansion for c in _column_determinants(kneading_matrix(model, 48)))
 
 
 class TestUnimodal:

@@ -14,7 +14,6 @@ from intervalzeta.series import (
     poly_trim,
     rational_from_eventually_periodic,
     rf_to_series,
-    series_matches_rf,
     series_matrix_det,
 )
 
@@ -44,10 +43,6 @@ class TestArithmetic:
 
     def test_order_truncates_to_minimum(self):
         assert (S([1], 8) * S([1], 3)).order == 3
-
-    def test_compose_scale(self):
-        s = S([1, 1, 1, 1], 3)
-        assert s.compose_scale(2).coeffs == (1, 2, 4, 8)
 
 
 class TestExpLog:
@@ -89,11 +84,6 @@ class TestRationalFn:
     def test_long_division(self):
         s = rf_to_series(RationalFn((1, -2), (1, -1)), 4)
         assert s.coeffs == (1, -1, -1, -1, -1)
-
-    def test_matcher(self):
-        rf = RationalFn((1,), (1, -1, -1))
-        assert series_matches_rf(rf_to_series(rf, 12), rf)
-        assert not series_matches_rf(TruncSeries.one(12), rf)
 
     def test_reduction_is_canonical(self):
         # (1 - t^2)/((1 - t)(1 - t^3)) reduces like (1 + t)/(1 - t^3)
