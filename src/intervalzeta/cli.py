@@ -240,23 +240,22 @@ def _cmd_zeta_mt_check(args):
 # ---------------------------------------------------------------------------
 
 
-def _cubic_counts(s: Fraction, n_max: int, tol: float) -> list[int]:
-    return [cubicfam.count_periodic(s, n, tol).count for n in range(1, n_max + 1)]
+def _cubic_counts(s: Fraction, n_max: int, tol: float) -> tuple[float, float, list[int]]:
+    """The invariant interval [alpha, beta] and the counts N_1..N_n_max."""
+    alpha, beta = cubicfam.filled_julia_endpoints(s, tol)
+    counts = cubicfam.periodic_counts(s, n_max, tol, endpoints=(alpha, beta))
+    return alpha, beta, [c.count for c in counts]
 
 
 def _cmd_cubic_report(args):
     if args.nmax < 1:
         raise DomainFailure("nmax must be >= 1")
+    cubicfam.check_depth(args.depth)
     s = args.s
     poly, par = cubicfam.cubic_family(s)
-    alpha, beta = cubicfam.filled_julia_endpoints(s, args.tol)
-    counts = _cubic_counts(s, args.nmax, args.tol)
+    alpha, beta, counts = _cubic_counts(s, args.nmax, args.tol)
     pieces = cubicfam.repeller_pieces(s, args.depth)
-    disjoint = all(
-        pieces[i].interval.disjoint(pieces[j].interval)
-        for i in range(len(pieces))
-        for j in range(i + 1, len(pieces))
-    )
+    disjoint = cubicfam.pairwise_disjoint([p.interval for p in pieces])
     payload = {
         "s": str(par.s),
         "a": str(par.a),
@@ -286,8 +285,7 @@ def _cmd_cubic_sweep(args):
     rows = []
     for k in range(steps + 1):
         s = lo + (hi - lo) * Fraction(k, steps)
-        alpha, beta = cubicfam.filled_julia_endpoints(s, args.tol)
-        counts = _cubic_counts(s, 6, args.tol)
+        alpha, beta, counts = _cubic_counts(s, 6, args.tol)
         rows.append([str(s), float(cubicfam.critical_value(s)), alpha, beta, *counts])
     header = ["s", "F_s(c_s)", "alpha", "beta", "N1", "N2", "N3", "N4", "N5", "N6"]
     payload = [dict(zip(header, row)) for row in rows]

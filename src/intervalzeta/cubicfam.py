@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .series import Q, poly_compose, poly_divmod, poly_mul, poly_sub, poly_trim
-from .subshift import fib_language, vee_map
+from .subshift import vee_map
 
 
 class TangencyError(RuntimeError):
@@ -216,14 +217,26 @@ def two_cycle_polynomial(s) -> RealPoly:
     return g2.divide_exactly(poly - IDENTITY)
 
 
+def _float_map(par: CubicParam) -> Callable[[float], float]:
+    """F_s on floats.  For finite x it is bit-identical to `float_fn` of
+    the exact polynomial (1, 0, b, a): the Horner steps 0*x + a and + 0
+    are exact."""
+    a, b = float(par.a), float(par.b)
+
+    def f(x: float) -> float:
+        return (a * x + b) * x * x + 1.0
+
+    return f
+
+
 def filled_julia_endpoints(s, tol: float = 1e-12) -> tuple[float, float]:
     """Outermost real boundary pair [alpha, beta], swapped by F_s.
 
     Solves F^2(x) = x with the fixed points removed, takes the extremal
     two-cycle, and verifies forward invariance of [alpha, beta].
     """
-    poly, par = cubic_family(s)
-    f = poly.float_fn()
+    par = _params(s)
+    f = _float_map(par)
     sextic = two_cycle_polynomial(s)
     bound = 1.0 + max(abs(float(c)) for c in sextic.coeffs[:-1]) / abs(float(sextic.coeffs[-1]))
     roots = _real_roots_in(sextic, -bound, bound, tol=tol)
@@ -264,44 +277,40 @@ class PeriodicCount:
     flagged: tuple[float, ...] = ()
 
 
-def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
-    """Number of solutions of F_s^n(x) = x on the invariant interval.
-
-    Lap endpoints of F^n are the iterated preimages of the critical points;
-    on each lap the iterate is monotone and sign changes of F^n(x) - x are
-    bisected.  Root clusters are deduplicated at 1e-9 times the interval
-    length, so a superattracting cycle contributes each point once.
-    A sample with |g| below the flag threshold is counted as a root and,
-    unless it is an endpoint of the interval, listed in `flagged`; no
-    further check certifies it.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    poly, par = cubic_family(s)
-    f = poly.float_fn()
-    alpha, beta = filled_julia_endpoints(s, tol)
-    span = beta - alpha
+def _lap_endpoints(par: CubicParam, alpha: float, beta: float, tol: float) -> Iterator[set[float]]:
+    """The lap endpoints of F, F^2, F^3, ... in turn: the n-th set holds
+    alpha, beta and the critical points with their preimages of order < n.
+    One preimage tree, extended by a level per step; the same set is
+    yielded each time, so read it before advancing."""
+    f = _float_map(par)
     c = float(par.c_s)
     lap_bounds = [alpha, c, 0.0, beta]
-
     level = [x for x in (c, 0.0) if alpha <= x <= beta]
     endpoints = set(level) | {alpha, beta}
-    for _ in range(n - 1):
+    while True:
+        yield endpoints
         nxt: list[float] = []
         for y in level:
             nxt.extend(x for x in _preimages(f, lap_bounds, y, tol) if alpha - tol <= x <= beta + tol)
         level = nxt
         endpoints.update(level)
 
-    eps = sorted(endpoints)
+
+def _count_on_laps(par: CubicParam, n: int, alpha: float, beta: float,
+                   endpoints: set[float], tol: float) -> PeriodicCount:
+    """Solutions of F^n(x) = x, from one streamed scan of the laps of F^n."""
+    span = beta - alpha
     merged = []
-    for x in eps:
+    for x in sorted(endpoints):
         if not merged or x - merged[-1] > 1e-11 * span:
             merged.append(x)
 
+    # F_s of _float_map inlined: the scan evaluates it about 500k times at n = 12
+    a, b = float(par.a), float(par.b)
+
     def g(x: float) -> float:
         for _ in range(n):
-            x = f(x)
+            x = (a * x + b) * x * x + 1.0
         return x
 
     dedupe = 1e-9 * span
@@ -323,30 +332,70 @@ def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
 
     # one global scan: lap endpoints plus interior samples, so roots sitting
     # exactly on a lap endpoint are caught by the sign change across it
-    grid: list[float] = []
-    per_lap = 33
-    for lo, hi in zip(merged, merged[1:]):
-        grid.append(lo)
-        if hi - lo > 2 * dedupe:
-            grid.extend(lo + (hi - lo) * (k + 1) / (per_lap + 1) for k in range(per_lap))
-    grid.append(merged[-1])
-    vals = [g(x) - x for x in grid]
+    def grid() -> Iterator[float]:
+        per_lap = 33
+        for lo, hi in zip(merged, merged[1:]):
+            yield lo
+            if hi - lo > 2 * dedupe:
+                for k in range(per_lap):
+                    yield lo + (hi - lo) * (k + 1) / (per_lap + 1)
+        yield merged[-1]
 
-    for x, v in zip(grid, vals):
+    # only the near-zero samples and the sign changes between two samples
+    # that are not near zero are kept
+    hits: list[float] = []
+    brackets: list[tuple[float, float]] = []
+    prev = prev_v = None
+    for x in grid():
+        v = g(x) - x
         if abs(v) <= flag_eps:
-            # reliable only where the iterate is not expanding the error
-            # away from an actual zero; record interior hits for review
-            add_root(x)
-            if x not in (alpha, beta):
-                flagged.append(x)
-    for k in range(len(grid) - 1):
-        va, vb = vals[k], vals[k + 1]
-        if abs(va) <= flag_eps or abs(vb) <= flag_eps:
-            continue
-        if (va > 0) != (vb > 0):
-            add_root(_bisect(lambda x: g(x) - x, grid[k], grid[k + 1], tol))
+            hits.append(x)
+        elif prev_v is not None and abs(prev_v) > flag_eps and (prev_v > 0) != (v > 0):
+            brackets.append((prev, x))
+        prev, prev_v = x, v
+
+    for x in hits:
+        # reliable only where the iterate is not expanding the error
+        # away from an actual zero; record interior hits for review
+        add_root(x)
+        if x not in (alpha, beta):
+            flagged.append(x)
+    for lo, hi in brackets:
+        add_root(_bisect(lambda x: g(x) - x, lo, hi, tol))
 
     return PeriodicCount(n, len(roots), tuple(flagged))
+
+
+def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
+    """Number of solutions of F_s^n(x) = x on the invariant interval.
+
+    Lap endpoints of F^n are the iterated preimages of the critical points;
+    on each lap the iterate is monotone and sign changes of F^n(x) - x are
+    bisected.  Root clusters are deduplicated at 1e-9 times the interval
+    length, so a superattracting cycle contributes each point once.
+    A sample with |g| below the flag threshold is counted as a root and,
+    unless it is an endpoint of the interval, listed in `flagged`; no
+    further check certifies it.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    par = _params(s)
+    alpha, beta = filled_julia_endpoints(s, tol)
+    endpoints = next(islice(_lap_endpoints(par, alpha, beta, tol), n - 1, None))
+    return _count_on_laps(par, n, alpha, beta, endpoints, tol)
+
+
+def periodic_counts(s, nmax: int, tol: float = 1e-12, *,
+                    endpoints: tuple[float, float] | None = None) -> list[PeriodicCount]:
+    """`count_periodic(s, n, tol)` for n = 1..nmax, from one invariant
+    interval and one preimage tree.  `endpoints` is the pair
+    `filled_julia_endpoints(s, tol)` when the caller has it already."""
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    par = _params(s)
+    alpha, beta = filled_julia_endpoints(s, tol) if endpoints is None else endpoints
+    laps = _lap_endpoints(par, alpha, beta, tol)
+    return [_count_on_laps(par, n, alpha, beta, next(laps), tol) for n in range(1, nmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +449,6 @@ class BranchSystem:
         """Inverse of F^2 on the J1 side (F^2 decreasing there)."""
         return _bisect(lambda x: self._f(self._f(x)) - y, self.j1.lo - 4 * self.tol, self.j1.hi + 4 * self.tol, self.tol)
 
-    def apply_word(self, word: str, interval: Interval) -> Interval:
-        """Image of an interval under the branch composition for a word
-        over {1, 2}, outermost symbol first."""
-        lo, hi = interval.lo, interval.hi
-        for sym in reversed(word):
-            phi = self.phi1 if sym == "1" else self.phi2
-            a, b = phi(lo), phi(hi)
-            lo, hi = min(a, b), max(a, b)
-        return Interval(lo, hi)
-
 
 def repelling_three_cycle(s, tol: float = 1e-12) -> tuple[float, float, float]:
     """The repelling period-three orbit p0 -> p1 -> p2.
@@ -428,7 +467,7 @@ def repelling_three_cycle(s, tol: float = 1e-12) -> tuple[float, float, float]:
     if len(roots) != 3:
         raise BranchError("expected 3 repelling period-3 points in (-s, 1), got %d" % len(roots))
     p2, p0, p1 = roots
-    f = poly.float_fn()
+    f = _float_map(par)
     for x, y in ((p0, p1), (p1, p2), (p2, p0)):
         if abs(f(x) - y) > 1e-7:
             raise BranchError("period-3 points do not map cyclically")
@@ -442,8 +481,8 @@ def build_branch_system(s, tol: float = 1e-13) -> BranchSystem:
     containment and disjointness invariants are verified at tolerance and
     violation is an error (degenerate parameter).
     """
-    poly, par = cubic_family(s)
-    f = poly.float_fn()
+    par = _params(s)
+    f = _float_map(par)
     p0, p1, p2 = repelling_three_cycle(s, tol)
     ms = float(-par.s)
 
@@ -485,6 +524,14 @@ class RepellerPiece:
     interval: Interval
 
 
+def check_depth(depth: int) -> None:
+    """Refuse a repeller depth outside 1..12."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth > 12:
+        raise ValueError("depth capped at 12")
+
+
 def repeller_pieces(s, depth: int, tol: float = 1e-13) -> list[RepellerPiece]:
     """One interval per admissible word of the given length.
 
@@ -495,13 +542,29 @@ def repeller_pieces(s, depth: int, tol: float = 1e-13) -> list[RepellerPiece]:
     verbatim (the two cylinders coincide as sets), so the per-symbol form is
     used to make every depth a strict refinement; pieces are pairwise
     disjoint and their maximal diameter strictly decreases with depth.
+
+    The last symbol acts first, so piece(w) = phi_{w[0]}(piece(w[1:])).
+    Admissible words are closed under suffixes, and each depth is built
+    from the one below: two branch inversions per piece of every depth.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > 12:
-        raise ValueError("depth capped at 12")
+    check_depth(depth)
     bs = build_branch_system(s, tol)
-    pieces = []
-    for w in fib_language(depth):
-        pieces.append(RepellerPiece(w, vee_map(w), bs.apply_word(w, bs.base)))
-    return pieces
+    # word -> (lo, hi), in lex order: prepending one symbol keeps it
+    level = {"": (bs.base.lo, bs.base.hi)}
+    for _ in range(depth):
+        nxt = {}
+        for sym, phi in (("1", bs.phi1), ("2", bs.phi2)):
+            for w, (lo, hi) in level.items():
+                if sym == "1" and w[:1] == "1":
+                    continue
+                a, b = phi(lo), phi(hi)
+                nxt[sym + w] = (min(a, b), max(a, b))
+        level = nxt
+    return [RepellerPiece(w, vee_map(w), Interval(lo, hi)) for w, (lo, hi) in level.items()]
+
+
+def pairwise_disjoint(intervals: Sequence[Interval]) -> bool:
+    """Whether no two intervals meet: sorted by lo, each one ends before
+    the next begins."""
+    ordered = sorted(intervals, key=lambda iv: iv.lo)
+    return all(u.hi < v.lo for u, v in zip(ordered, ordered[1:]))

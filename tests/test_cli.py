@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -7,6 +8,21 @@ import pytest
 
 from intervalzeta import cubicfam, fibmap, kneading
 from intervalzeta.cli import build_parser, main
+
+
+# SHA-256 of the stdout of cubic commands whose floats come from long
+# bisection chains: counting on the laps of F^12, pieces of depth 12
+PINNED_CUBIC_OUTPUT = {
+    "cubic count --s 1 --n 12": "ebef95eb97ed7d9767ea889921c818bd8ced3f9453fd7aa0229a8c21c8754ab3",
+    "cubic count --s 6/5 --n 12": "cd178e79c2b661dfd517f7c25326900b64e83b710047e4cae5414d22f51ae9f6",
+    "cubic count --s 137/100 --n 12": "4bd7d55d9395177277d960d156ae09aa73ae984368ba888c12f426635c0a5bdd",
+    "cubic repeller --s 1 --depth 12": "7c6480e9ef0bf57743287d9cc1d39d4ad503c4bb98ea50a330db78fa6a742216",
+    "cubic repeller --s 6/5 --depth 12": "28285a574a2b9b5181e8ee8e31071c69b596931e0124b7faeca4918907709dcf",
+    "cubic repeller --s 137/100 --depth 12": "aa118e6b5911ee82176cb99a8fb62c9fbd308be8ef412434bb8611a7ae3f8297",
+    "cubic sweep --from 1 --to 137/100 --steps 8": "07d9d470c57894dbc53d87135e4173a278fd0b28ec697eb7a95167088375cf93",
+    "cubic sweep --from 1 --to 137/100 --steps 8 --format csv":
+        "983c69c7e63500eaec2bde50c26fc21a9786dcc51cb97b1113cf3a99f70280bc",
+}
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +155,35 @@ class TestCubicAndFib:
         code, out = run_cli(capsys, "cubic", "report", "--s", "6/5", "--nmax", nmax)
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "nmax must be >= 1"}
+
+    @pytest.mark.parametrize("depth, reason", [("0", "depth must be >= 1"), ("13", "depth capped at 12")],
+                             ids=["0", "13"])
+    def test_cubic_report_bad_depth(self, capsys, monkeypatch, depth, reason):
+        # refused before any numeric work, with the reason repeller_pieces gives
+        monkeypatch.setattr(cubicfam, "cubic_family", None)
+        code, out = run_cli(capsys, "cubic", "report", "--s", "6/5", "--depth", depth)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": reason}
+
+    @pytest.mark.parametrize("argv, parameters", [
+        (("cubic", "report", "--s", "6/5", "--nmax", "6", "--depth", "3"), [Fraction(6, 5)]),
+        (("cubic", "sweep", "--from", "1", "--to", "6/5", "--steps", "2"),
+         [Fraction(1), Fraction(11, 10), Fraction(6, 5)]),
+    ], ids=["report", "sweep"])
+    def test_cubic_invariant_interval_once_per_s(self, capsys, monkeypatch, argv, parameters):
+        calls = []
+        endpoints = cubicfam.filled_julia_endpoints
+        monkeypatch.setattr(cubicfam, "filled_julia_endpoints",
+                            lambda s, tol=1e-12: calls.append(s) or endpoints(s, tol))
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == parameters
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_CUBIC_OUTPUT))
+    def test_cubic_output_is_pinned(self, capsys, argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CUBIC_OUTPUT[argv]
 
     def test_fib_find_lambda_tiny_tol(self, capsys):
         # 1e-20 is below what a denominator of at most 10**15 can express

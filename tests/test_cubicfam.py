@@ -1,11 +1,18 @@
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intervalzeta import cubicfam
 from intervalzeta.cubicfam import (
+    BranchSystem,
     Interval,
     RealPoly,
+    RepellerPiece,
+    _float_map,
     build_branch_system,
     count_periodic,
     critical_value,
@@ -13,6 +20,8 @@ from intervalzeta.cubicfam import (
     critical_value_factored,
     cubic_family,
     filled_julia_endpoints,
+    pairwise_disjoint,
+    periodic_counts,
     repeller_pieces,
     repelling_three_cycle,
     s_star,
@@ -20,9 +29,27 @@ from intervalzeta.cubicfam import (
     two_cycle_polynomial,
     verify_critical_orbit,
 )
-from intervalzeta.subshift import fib_language
+from intervalzeta.subshift import fib_language, vee_map
 
 S_STAR_BRACKET = s_star(1e-9).bracket
+BRANCH_PARAMETERS = [Q(1), Q(6, 5), S_STAR_BRACKET[0]]
+
+
+def apply_word(bs, word, interval):
+    """Oracle: the image of an interval under the branch composition for a
+    word over {1, 2}, outermost symbol first, one word at a time."""
+    lo, hi = interval.lo, interval.hi
+    for sym in reversed(word):
+        phi = bs.phi1 if sym == "1" else bs.phi2
+        a, b = phi(lo), phi(hi)
+        lo, hi = min(a, b), max(a, b)
+    return Interval(lo, hi)
+
+
+def pairwise_check(intervals):
+    return all(
+        intervals[i].disjoint(intervals[j]) for i in range(len(intervals)) for j in range(i + 1, len(intervals))
+    )
 
 
 def random_parameters(count, seed=7):
@@ -121,6 +148,15 @@ class TestEndpoints:
         pad = 1e-8
         assert all(alpha - pad <= y <= beta + pad for y in images)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_map_is_the_exact_polynomial_in_floats(self, data):
+        s = data.draw(st.fractions(min_value=1, max_value=Q(137, 100), max_denominator=10**6))
+        poly, par = cubic_family(s)
+        alpha, beta = filled_julia_endpoints(s)
+        x = data.draw(st.floats(min_value=alpha, max_value=beta))
+        assert _float_map(par)(x) == poly.float_fn()(x)
+
     def test_two_cycle_polynomial_is_exact_quotient(self):
         poly, _ = cubic_family(Q(6, 5))
         sextic = two_cycle_polynomial(Q(6, 5))
@@ -145,6 +181,32 @@ class TestCounting:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             count_periodic(1, 0)
+        with pytest.raises(ValueError):
+            periodic_counts(1, 0)
+
+    @pytest.mark.parametrize("s", [Q(1), Q(6, 5), Q(137, 100)])
+    def test_one_tree_equals_one_count_per_n(self, s):
+        # counts and flagged samples alike
+        assert periodic_counts(s, 8) == [count_periodic(s, n) for n in range(1, 9)]
+
+    def test_given_endpoints_are_used(self, monkeypatch):
+        frame = filled_julia_endpoints(Q(6, 5))
+        expected = [count_periodic(Q(6, 5), n) for n in range(1, 5)]
+        monkeypatch.setattr(cubicfam, "filled_julia_endpoints", None)
+        assert periodic_counts(Q(6, 5), 4, endpoints=frame) == expected
+
+    def test_scan_is_streamed(self):
+        # the grid of F^12 has about 43k samples; a list of them and of their
+        # values peaks near 3 MB, the streamed scan near 0.25 MB
+        count_periodic(Q(521, 500), 3)
+        tracemalloc.start()
+        try:
+            result = count_periodic(Q(521, 500), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.count == 327
+        assert peak < 1_000_000
 
 
 class TestBranchSystem:
@@ -181,6 +243,34 @@ class TestRepellerPieces:
 
     def test_depth_five(self):
         assert len(repeller_pieces(Q(6, 5), 5)) == 13
+
+    @pytest.mark.parametrize("s", BRANCH_PARAMETERS)
+    def test_pieces_equal_the_per_word_oracle(self, s):
+        bs = build_branch_system(s)
+        for depth in range(1, 11):
+            expected = [RepellerPiece(w, vee_map(w), apply_word(bs, w, bs.base)) for w in fib_language(depth)]
+            assert repeller_pieces(s, depth) == expected
+
+    def test_two_inversions_per_piece_of_every_depth(self, monkeypatch):
+        calls = []
+        for name in ("phi1", "phi2"):
+            method = getattr(BranchSystem, name)
+            monkeypatch.setattr(BranchSystem, name, lambda self, y, m=method: calls.append(y) or m(self, y))
+        repeller_pieces(Q(6, 5), 12)
+        assert len(calls) == 2 * sum(len(fib_language(k)) for k in range(1, 13)) == 1968
+
+    @pytest.mark.parametrize("s", BRANCH_PARAMETERS)
+    def test_sorted_disjointness_equals_pairwise(self, s):
+        for depth in range(1, 11):
+            pieces = [p.interval for p in repeller_pieces(s, depth)]
+            assert pairwise_disjoint(pieces) == pairwise_check(pieces) is True
+            # widen one piece over its right neighbour, then make two touch
+            ordered = sorted(pieces, key=lambda iv: iv.lo)
+            if len(ordered) > 1:
+                grown = [Interval(ordered[0].lo, ordered[1].lo + 1e-9 * ordered[1].diameter), *ordered[1:]]
+                touching = [Interval(ordered[0].lo, ordered[1].lo), *ordered[1:]]
+                for case in (grown, touching, grown[::-1], touching[::-1]):
+                    assert pairwise_disjoint(case) == pairwise_check(case) is False
 
     def test_pieces_disjoint(self):
         pieces = [p.interval for p in repeller_pieces(Q(6, 5), 6)]
