@@ -243,7 +243,7 @@ def _cmd_zeta_mt_check(args):
 def _cubic_counts(s: Fraction, n_max: int, tol: float) -> tuple[float, float, list[int]]:
     """The invariant interval [alpha, beta] and the counts N_1..N_n_max."""
     alpha, beta = cubicfam.filled_julia_endpoints(s, tol)
-    counts = cubicfam.periodic_counts(s, n_max, tol, endpoints=(alpha, beta))
+    counts = cubicfam.periodic_counts(s, alpha, beta, n_max, tol)
     return alpha, beta, [c.count for c in counts]
 
 

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .series import Q, poly_compose, poly_divmod, poly_mul, poly_sub, poly_trim
-from .subshift import vee_map
+from .subshift import fib_language, vee_map
 
 
 class TangencyError(RuntimeError):
@@ -385,15 +385,12 @@ def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
     return _count_on_laps(par, n, alpha, beta, endpoints, tol)
 
 
-def periodic_counts(s, nmax: int, tol: float = 1e-12, *,
-                    endpoints: tuple[float, float] | None = None) -> list[PeriodicCount]:
-    """`count_periodic(s, n, tol)` for n = 1..nmax, from one invariant
-    interval and one preimage tree.  `endpoints` is the pair
-    `filled_julia_endpoints(s, tol)` when the caller has it already."""
+def periodic_counts(s, alpha: float, beta: float, nmax: int, tol: float = 1e-12) -> list[PeriodicCount]:
+    """`count_periodic(s, n, tol)` for n = 1..nmax, from one preimage tree
+    on the invariant interval [alpha, beta] = `filled_julia_endpoints(s, tol)`."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     par = _params(s)
-    alpha, beta = filled_julia_endpoints(s, tol) if endpoints is None else endpoints
     laps = _lap_endpoints(par, alpha, beta, tol)
     return [_count_on_laps(par, n, alpha, beta, next(laps), tol) for n in range(1, nmax + 1)]
 
@@ -549,17 +546,15 @@ def repeller_pieces(s, depth: int, tol: float = 1e-13) -> list[RepellerPiece]:
     """
     check_depth(depth)
     bs = build_branch_system(s, tol)
-    # word -> (lo, hi), in lex order: prepending one symbol keeps it
+    phi = {"1": bs.phi1, "2": bs.phi2}
+
+    def image(w: str, lo: float, hi: float) -> tuple[float, float]:
+        a, b = phi[w[0]](lo), phi[w[0]](hi)
+        return min(a, b), max(a, b)
+
     level = {"": (bs.base.lo, bs.base.hi)}
-    for _ in range(depth):
-        nxt = {}
-        for sym, phi in (("1", bs.phi1), ("2", bs.phi2)):
-            for w, (lo, hi) in level.items():
-                if sym == "1" and w[:1] == "1":
-                    continue
-                a, b = phi(lo), phi(hi)
-                nxt[sym + w] = (min(a, b), max(a, b))
-        level = nxt
+    for k in range(1, depth + 1):
+        level = {w: image(w, *level[w[1:]]) for w in fib_language(k)}
     return [RepellerPiece(w, vee_map(w), Interval(lo, hi)) for w, (lo, hi) in level.items()]
 
 

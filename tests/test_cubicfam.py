@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalzeta import cubicfam
 from intervalzeta.cubicfam import (
     BranchSystem,
     Interval,
@@ -182,18 +181,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_periodic(1, 0)
         with pytest.raises(ValueError):
-            periodic_counts(1, 0)
+            periodic_counts(1, *filled_julia_endpoints(1), 0)
 
     @pytest.mark.parametrize("s", [Q(1), Q(6, 5), Q(137, 100)])
     def test_one_tree_equals_one_count_per_n(self, s):
         # counts and flagged samples alike
-        assert periodic_counts(s, 8) == [count_periodic(s, n) for n in range(1, 9)]
-
-    def test_given_endpoints_are_used(self, monkeypatch):
-        frame = filled_julia_endpoints(Q(6, 5))
-        expected = [count_periodic(Q(6, 5), n) for n in range(1, 5)]
-        monkeypatch.setattr(cubicfam, "filled_julia_endpoints", None)
-        assert periodic_counts(Q(6, 5), 4, endpoints=frame) == expected
+        assert periodic_counts(s, *filled_julia_endpoints(s), 8) == [count_periodic(s, n) for n in range(1, 9)]
 
     def test_scan_is_streamed(self):
         # the grid of F^12 has about 43k samples; a list of them and of their
