@@ -210,7 +210,7 @@ def _cmd_knead_unimodal(args):
 
 def _cmd_zeta_from_counts(args):
     counts = args.counts
-    order = min(args.order, len(counts))
+    order = len(counts) if args.order is None else args.order
     _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, order).to_json()}, args)
 
 
@@ -407,7 +407,9 @@ _COMMANDS = {
                                            _required("--cycle", _int_list), _ORDER]),
     }),
     "zeta": ("zeta functions", {
-        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list), _ORDER]),
+        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list),
+                                                 ("--order", {**_ORDER[1], "default": None,
+                                                              "help": "series order (default: number of counts)"})]),
         "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _required("--n", int)]),
         "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int),
                                                  ("--order", {**_ORDER[1], "default": 24,

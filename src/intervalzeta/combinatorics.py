@@ -66,9 +66,13 @@ class PLModel:
         return self.rho[lap + 1] - self.rho[lap]
 
     def __call__(self, x):
-        x = x if isinstance(x, Fraction) else Q(x)
+        """F(x), exact: an int for an int x, a Fraction otherwise."""
+        if not isinstance(x, (int, Fraction)):
+            x = Q(x)
         if not (0 <= x <= self.n):
             raise ValueError("evaluation point %s outside [0, %d]" % (x, self.n))
+        if isinstance(x, int):
+            return self.rho[x]
         if x.denominator == 1:  # the model takes the value rho[k] at k
             return Q(self.rho[x.numerator])
         j = int(x)

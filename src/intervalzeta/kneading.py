@@ -37,10 +37,11 @@ class KneadingError(RuntimeError):
 
 @dataclass(frozen=True)
 class SidedState:
-    """One-sided orbit state: the point, the side it is approached from,
-    and the accumulated product of the lap signs seen so far."""
+    """One-sided orbit state: the point (an integer: turning orbits of a PL
+    model stay on {0..n}), the side it is approached from, and the
+    accumulated product of the lap signs seen so far."""
 
-    point: object
+    point: int
     side: int
     sign: int
 
@@ -97,7 +98,7 @@ def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     comps = [[0] * (order + 1) for _ in shape]
-    orbit = _sided_orbit(model, turning, shape, SidedState(Q(turning[turn_index - 1]), side, 1))
+    orbit = _sided_orbit(model, turning, shape, SidedState(turning[turn_index - 1], side, 1))
     for n, (state, lap) in zip(range(order + 1), orbit):
         comps[lap][n] += state.sign
     return [TruncSeries(order, tuple(map(Q, c))) for c in comps]
@@ -172,7 +173,7 @@ def _exact_matrix(model: PLModel) -> tuple[KneadingData, list[tuple[int, int]]]:
     periods = []
     for c in turning:
         seen: dict[SidedState, int] = {}
-        for state, _ in _sided_orbit(model, turning, shape, SidedState(Q(c), 1, 1)):
+        for state, _ in _sided_orbit(model, turning, shape, SidedState(c, 1, 1)):
             if state in seen:
                 break
             seen[state] = len(seen)
@@ -241,10 +242,10 @@ def unimodal_kneading(eps: Sequence[int], order: int) -> TruncSeries:
         raise ValueError("need at least %d signs" % order)
     if any(e not in (1, -1) for e in eps[:order]):
         raise ValueError("signs must be +1 or -1")
-    coeffs = [Q(1)]
+    coeffs = [1]
     for n in range(order):
         coeffs.append(coeffs[-1] * eps[n])
-    return TruncSeries(order, tuple(coeffs))
+    return TruncSeries(order, tuple(map(Q, coeffs)))
 
 
 def unimodal_rational_form(eps_prefix: Sequence[int], eps_cycle: Sequence[int]) -> RationalFn:

@@ -1,9 +1,11 @@
 """Truncated formal power series and rational functions over exact rationals.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` values and
-all operations are closed at a stated truncation order.  Rational functions
-are stored reduced, with the denominator normalized to constant term 1 so
-they expand as power series.
+Everything here is exact: coefficients go in and come out as
+``fractions.Fraction`` values (ints are accepted), and all operations are
+closed at a stated truncation order.  Inner loops run on Python ints: the
+inputs are scaled over one common denominator, and each output coefficient
+becomes a ``Fraction`` once.  Rational functions are stored reduced, with the
+denominator normalized to constant term 1 so they expand as power series.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -30,6 +32,23 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     coefficients, so that products and reciprocals run on ints."""
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _poly_ints(p) -> tuple[list[int], int]:
+    """A polynomial as integers over its common denominator, trailing zeros
+    dropped."""
+    a, d = _scaled(p)
+    while a and not a[-1]:
+        a.pop()
+    return a, d
+
+
+def _ratios(xs: Iterable[int], d: int) -> tuple[Fraction, ...]:
+    """The rationals x/d, trailing zeros dropped."""
+    out = [Q(x) for x in xs] if d == 1 else [Q(x, d) for x in xs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def poly_trim(p: Sequence) -> tuple[Fraction, ...]:
@@ -55,16 +74,11 @@ def poly_sub(p, q) -> tuple[Fraction, ...]:
 
 
 def poly_mul(p, q) -> tuple[Fraction, ...]:
-    if not p or not q:
+    a, da = _poly_ints(p)
+    b, db = _poly_ints(q)
+    if not a or not b:
         return ()
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        a = _frac(a)
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * _frac(b)
-    return poly_trim(out)
+    return _ratios(_convolve(a, b, len(a) + len(b) - 2), da * db)
 
 
 def poly_scale(p, c) -> tuple[Fraction, ...]:
@@ -72,33 +86,56 @@ def poly_scale(p, c) -> tuple[Fraction, ...]:
     return poly_trim([_frac(a) * c for a in p])
 
 
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Integer pseudo-division by b, with leading coefficient lc = b[-1].
+
+    Returns quotient digits c and remainder r, len(r) < len(b), with
+    lc^e a = (sum_i c_i lc^i t^i) b + r for e = len(c) = len(a) - len(b) + 1
+    (no digits and r = a when a is the shorter).
+    """
+    lc, body = b[-1], b[:-1]
+    r = list(a)
+    c = [0] * max(0, len(a) - len(b) + 1)
+    for i in reversed(range(len(c))):
+        # r <- lc*r - top t^i b, which cancels the top coefficient
+        top = c[i] = r.pop()
+        if lc != 1:
+            r = [lc * x for x in r]
+        if top:
+            for j, y in enumerate(body):
+                r[i + j] -= top * y
+    return c, r
+
+
 def poly_divmod(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact division with remainder in Q[t]."""
-    p = list(poly_trim(p))
-    q = poly_trim(q)
-    if not q:
+    """Exact division with remainder in Q[t], by pseudo-division on ints."""
+    a, da = _poly_ints(p)
+    b, db = _poly_ints(q)
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Q(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        k = len(p) - len(q)
-        c = p[-1] / q[-1]
-        quot[k] = c
-        for i, b in enumerate(q):
-            p[k + i] -= c * b
-        while p and p[-1] == 0:
-            p.pop()
-    return poly_trim(quot), poly_trim(p)
+    c, r = _pseudo_divmod(a, b)
+    # p = a/da and q = b/db, so quotient i is c_i db / (lc^(e-i) da) and
+    # the remainder is r / (lc^e da)
+    lc, e = b[-1], len(c)
+    quot = tuple(Q(x * db, lc ** (e - i) * da) for i, x in enumerate(c))
+    return quot, _ratios(r, lc**e * da)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """An integer polynomial divided by the gcd of its coefficients, trailing
+    zeros dropped."""
+    while a and not a[-1]:
+        a.pop()
+    g = gcd(*a)
+    return a if g <= 1 else [x // g for x in a]
 
 
 def poly_gcd(p, q) -> tuple[Fraction, ...]:
-    """Monic gcd via Euclid's algorithm."""
-    a, b = poly_trim(p), poly_trim(q)
+    """Monic gcd, by the primitive pseudo-remainder sequence on ints."""
+    a, b = _primitive(_scaled(p)[0]), _primitive(_scaled(q)[0])
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(a, 1 / a[-1])
-    return a
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return tuple(Q(x, a[-1]) for x in a)
 
 
 def poly_derivative(p) -> tuple[Fraction, ...]:
@@ -106,11 +143,19 @@ def poly_derivative(p) -> tuple[Fraction, ...]:
 
 
 def poly_compose(p, q) -> tuple[Fraction, ...]:
-    """p(q(t)) by Horner on polynomials."""
-    acc: tuple[Fraction, ...] = ()
-    for c in reversed(poly_trim(p)):
-        acc = poly_add(poly_mul(acc, q), (c,))
-    return acc
+    """p(q(t)) by Horner on integer polynomials: with p = a/da and q = b/db of
+    degree D in p, p(q) = sum_i a_i b^i db^(D-i) / (da db^D)."""
+    a, da = _poly_ints(p)
+    b, db = _poly_ints(q)
+    if not a:
+        return ()
+    acc = [a[-1]]
+    scale = 1  # db^(D-i)
+    for x in reversed(a[:-1]):
+        scale *= db
+        acc = _convolve(acc, b, len(acc) + len(b) - 2) if b else [0]
+        acc[0] += x * scale
+    return _ratios(acc, da * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +246,29 @@ class TruncSeries:
         a0 = a[0]
         if a0 == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        # coefficient n of 1/a is d * beta_n / a0**(n+1), with integers
-        # beta_0 = 1 and beta_n = -sum_{k>=1} a[k] a0**(k-1) beta_{n-k}
-        terms = [(k, a[k] * a0 ** (k - 1)) for k in range(1, len(a)) if a[k]]
-        beta = [1]
-        for n in range(1, self.order + 1):
-            beta.append(-sum(c * beta[n - k] for k, c in terms if k <= n))
+        beta = _quotient_ints([1], a, self.order)
         return TruncSeries(self.order, tuple(Q(d * x, a0 ** (n + 1)) for n, x in enumerate(beta)))
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""
         if self.coeffs[0] != 0:
             raise ValueError("exp requires constant term 0")
-        a = self.coeffs
-        e = [Q(1)]
+        # with b_k = (k+1) a_{k+1} = B_k / d, (n+1) e_{n+1} = sum_k b_k e_{n-k};
+        # e_n = y_n / (n! d^n) for integers y_0 = 1 and
+        # y_{n+1} = sum_k B_k y_{n-k} d^k n!/(n-k)!
+        b, d = _scaled([(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
+        y = [1]
         for n in range(self.order):
-            # (n+1) e_{n+1} = sum_{k} (k+1) a_{k+1} e_{n-k}
-            s = sum(((k + 1) * a[k + 1] * e[n - k] for k in range(n + 1)), Q(0))
-            e.append(s / (n + 1))
+            s, w = 0, 1  # w = d^k n!/(n-k)!
+            for k in range(n + 1):
+                if b[k]:
+                    s += b[k] * y[n - k] * w
+                w *= (n - k) * d
+            y.append(s)
+        e, scale = [], 1  # scale = n! d^n
+        for n, x in enumerate(y):
+            e.append(Q(x, scale))
+            scale *= (n + 1) * d
         return TruncSeries(self.order, tuple(e))
 
     def log(self) -> "TruncSeries":
@@ -250,6 +300,21 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
                     break
                 out[i + j] += x * y
     return out
+
+
+def _quotient_ints(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Integers y_0..y_n with coefficient k of (a/b) equal to
+    y_k / (b0^(k+1)), b0 = b[0] != 0:
+    y_k = a_k b0^k - sum_{j>=1} b_j b0^(j-1) y_{k-j}."""
+    b0 = b[0]
+    terms = [(j, b[j] * b0 ** (j - 1)) for j in range(1, len(b)) if b[j]]
+    y: list[int] = []
+    scale = 1  # b0^k
+    for k in range(n + 1):
+        s = a[k] * scale if k < len(a) else 0
+        y.append(s - sum(c * y[k - j] for j, c in terms if j <= k))
+        scale *= b0
+    return y
 
 
 def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
@@ -338,13 +403,14 @@ class RationalFn:
 
 def rf_to_series(rf: RationalFn, order: int) -> TruncSeries:
     """Exact power-series expansion of a rational function."""
-    num, den = rf.num, rf.den
-    out = []
-    for n in range(order + 1):
-        s = num[n] if n < len(num) else Q(0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            s -= den[k] * out[n - k]
-        out.append(s)  # den[0] == 1 by normalization
+    a, da = _scaled(rf.num)
+    b, db = _scaled(rf.den)
+    # b[0] == db because den[0] == 1, so coefficient n is y_n / (da db^n)
+    y = _quotient_ints(a, b, order)
+    out, scale = [], da
+    for x in y:
+        out.append(Q(x, scale))
+        scale *= db
     return TruncSeries(order, tuple(out))
 
 

@@ -24,6 +24,34 @@ PINNED_CUBIC_OUTPUT = {
         "983c69c7e63500eaec2bde50c26fc21a9786dcc51cb97b1113cf3a99f70280bc",
 }
 
+# exit code and SHA-256 of the stdout of exact knead and zeta commands: the
+# README ones, the generated VU vectors (nu = 2..5) at order 48, unimodal
+# closed forms, zeta from counts and closed forms, and a failing mt-check
+PINNED_EXACT_OUTPUT = {
+    "knead det --rho 0,2,3,1,0 --order 48": (0, "3e09a11cb50e3c7e550d0dbc88204d69f6738cd78865c0c89706bd7544adeef5"),
+    "zeta mt-check --rho 0,2,0 --zeta-num 1 --zeta-den 1,-2 --order 32": (0, "76d2c1babdfaad078899ec184fd43cfcfceb1920caf4594ae8b7fa1e79bf4c70"),
+    "zeta sft --matrix 0,1;1,1 --n 4": (0, "7ae8196dde5c0a305f58ea137b330a9a0212bf381e62fec1b136c24a3c5dd3fe"),
+    "knead det --rho 7,3,4,5,6,3,2,0 --order 48": (0, "a2f287d797cca82fba83edee1a6cc57b61841be1edc57a6fc882992f3eb1a800"),
+    "knead det --rho 0,6,4,5,6,7,4,3,0 --order 48": (0, "0730f55e3a27b95dfb8250742d32f2c2ce5abc7ea8bd6e1e5b41a931deea1486"),
+    "knead det --rho 9,5,7,5,6,7,8,5,4,0 --order 48": (0, "8f7966d2606106894003a55ab05edb92069ff379ac7596d31200aeb7d149333f"),
+    "knead det --rho 0,8,6,8,6,7,8,9,6,5,0 --order 48": (0, "f7d1c7f5e79d06ef1443291f0431a48ba52737ae78b96b3428468f2723b74527"),
+    "knead matrix --rho 7,3,4,5,6,3,2,0 --order 48": (0, "209cbb5c601e300354de80f7b4fb7ddb55abb8c269ea2e7dc7b1683ea7844b28"),
+    "knead matrix --rho 0,6,4,5,6,7,4,3,0 --order 48": (0, "6c73cac9d33b51a1ea4c0d4dd66626177c05f396c3af7843d06e344823908748"),
+    "knead matrix --rho 9,5,7,5,6,7,8,5,4,0 --order 48": (0, "602f0cfb5540912b32d9fa3295ae2da8a0e199fcddbee345f11b9382cb2446f3"),
+    "knead matrix --rho 0,8,6,8,6,7,8,9,6,5,0 --order 48": (0, "600821afcbb3c56b03908ac8f830df406763af4ae23c7830871dd0175e71118f"),
+    "knead unimodal --cycle=-1,1,-1 --order 12": (0, "8392a61724637605aa90e8e9f1b2efd37c15f4448ad26ad57b1f74d43882b80c"),
+    "knead unimodal --prefix=1 --cycle=-1": (0, "095b6f10dec29df5b9e04a439c0bf2f760ede2da13314887f0f6a5c51258fd5b"),
+    "knead unimodal --prefix=1,-1 --cycle=1,1,-1 --order 40": (0, "4be04039b526baa24a516885da9e30d5907ac3c6f3df239fbe9d85497f6caac7"),
+    "knead unimodal --prefix=-1,-1,1 --cycle=-1,1,1,-1,-1": (0, "bfc2533e8cfce4d6749c3c734d124d0b7bab8c9719341b76c2e6c5bbfa649d5a"),
+    "zeta from-counts --counts 1,3,4,7,11,18,29,47,76,123,199,322": (0, "b0cbd03a69c84e8169fb5253ed9e98b7fad742e52229f506d700bf2631fe3d20"),
+    "zeta from-counts --counts 1,2,3,5,8": (0, "6e1919b8fc0fff1e046fb86b3416d5e454facecc863bc2ecfa28467d12f281ce"),
+    "zeta closed-form --nu 2": (0, "f51e7fe01cef9d9963a7c66086cf4fe55efd63523839929bd9a7d0d28800776b"),
+    "zeta closed-form --nu 3": (0, "7e191579cb9bf4705fe24310911e15b614eedbe94174eab6a99d8abd6c344b7e"),
+    "zeta closed-form --nu 4": (0, "268d79cad5da5fc8d54179ce3e8b728dd55bbc116820f512d04dbb008b926b4e"),
+    "zeta closed-form --nu 5": (0, "512705e2493eb3be4c7705298313e1483e9fddb3cff63a3dc351825a5e9a5196"),
+    "zeta mt-check --rho 7,3,4,5,6,3,2,0 --zeta-num 1 --zeta-den 1,-2": (1, "8e4860dab5686c60eb81bfecfc08859560ac33930412ee02941cfc0f88a0135a"),
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -79,6 +107,14 @@ class TestZeta:
         assert code == 0
         counts = json.loads(out)["counts"]
         assert len(counts) == 30 and counts[:24] == json.loads(default)["counts"]
+
+    def test_from_counts_order_beyond_counts(self, capsys):
+        code, out = run_cli(capsys, "zeta", "from-counts", "--counts", "1,2", "--order", "8")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "need counts N_1..N_8"}
+        code, out = run_cli(capsys, "zeta", "from-counts", "--counts", "1,2")
+        assert code == 0
+        assert json.loads(out)["zeta"] == {"order": 2, "coeffs": ["1", "1", "3/2"]}
 
     def test_mt_check_full_tent(self, capsys):
         code, out = run_cli(
@@ -204,6 +240,11 @@ class TestContract:
         _, second = run_cli(capsys, "comb", "generate", "--nu", "3")
         assert first == second
 
+    @pytest.mark.parametrize("argv", sorted(PINNED_EXACT_OUTPUT))
+    def test_exact_output_is_pinned(self, capsys, argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_EXACT_OUTPUT[argv]
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["comb", "validate"])  # missing --rho
@@ -274,7 +315,7 @@ OWN = {
     "knead det": {"--rho": REQUIRED, **ORDER},
     "knead matrix": {"--rho": REQUIRED, **ORDER},
     "knead unimodal": {"--prefix": (), "--cycle": REQUIRED, **ORDER},
-    "zeta from-counts": {"--counts": REQUIRED, **ORDER},
+    "zeta from-counts": {"--counts": REQUIRED, "--order": None},
     "zeta sft": {"--matrix": REQUIRED, "--n": REQUIRED},
     "zeta closed-form": {"--nu": REQUIRED, "--order": 24},
     "zeta mt-check": {"--rho": REQUIRED, "--zeta-num": REQUIRED, "--zeta-den": REQUIRED, **ORDER},

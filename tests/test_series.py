@@ -2,14 +2,19 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tests_support as ref
+from intervalzeta import series
 from intervalzeta.series import (
     RationalFn,
     TruncSeries,
     cyclotomic_peel,
     detect_eventual_periodicity,
+    poly_compose,
+    poly_divmod,
+    poly_gcd,
     poly_mul,
     poly_trim,
     rational_from_eventually_periodic,
@@ -259,3 +264,94 @@ class TestRationalCoefficients:
         det = series_matrix_det(rows)
         assert det.order == 3
         assert det.coeffs == naive_det(rows)
+
+
+# the integer kernels against the plain-Fraction loops they replaced
+# (tests_support): mixed denominators, negative and non-unit leading
+# coefficients, zero polynomials, denominators with constant term != 1
+rationals = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=9))
+polys = st.lists(rationals, max_size=7)
+nonzero_polys = polys.filter(lambda p: any(p))
+
+
+def rf_parts(g, u, v):
+    """num = g*u and den = g*v: a common factor for the reduction to remove."""
+    return ref.poly_mul(g, u), ref.poly_mul(g, v)
+
+
+rational_fns = st.builds(
+    rf_parts,
+    nonzero_polys,
+    polys,
+    st.lists(rationals, min_size=1, max_size=5).filter(lambda v: v[0] != 0),
+).filter(lambda parts: parts[1] and parts[1][0] != 0)
+
+
+class TestIntegerKernelsMatchFractionReference:
+    @given(polys, polys)
+    @settings(max_examples=60)
+    def test_poly_mul(self, p, q):
+        assert poly_mul(p, q) == ref.poly_mul(p, q)
+
+    @given(polys, nonzero_polys)
+    @settings(max_examples=80)
+    @example([Q(1, 2), 3, Q(-5, 6), 7], [1, 0, Q(-3, 4)])
+    def test_poly_divmod(self, p, q):
+        assert poly_divmod(p, q) == ref.poly_divmod(p, q)
+
+    def test_poly_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod((1, 2), (0, Q(0)))
+
+    @given(polys, polys, polys)
+    @settings(max_examples=60)
+    def test_poly_gcd(self, g, u, v):
+        p, q = ref.poly_mul(g, u), ref.poly_mul(g, v)
+        assert poly_gcd(p, q) == ref.poly_gcd(p, q)
+        assert poly_gcd(u, v) == ref.poly_gcd(u, v)
+
+    def test_poly_gcd_keeps_coefficients_primitive(self, monkeypatch):
+        # Knuth's example (TAOCP 4.6.1): the plain pseudo-remainder sequence
+        # of these coprime polynomials reaches a 35-digit coefficient, the
+        # primitive one stays below 6200
+        a = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
+        b = (21, -9, -4, 0, 5, 0, 3)
+        seen = []
+        divide = series._pseudo_divmod
+
+        def recording(x, y):
+            seen.extend(map(abs, x + y))
+            return divide(x, y)
+
+        monkeypatch.setattr(series, "_pseudo_divmod", recording)
+        assert poly_gcd(a, b) == (1,)
+        assert max(seen) < 2**13
+
+    @given(polys, polys)
+    @settings(max_examples=40)
+    def test_poly_compose(self, p, q):
+        assert poly_compose(p, q) == ref.poly_compose(p, q)
+
+    @given(rational_fns)
+    @settings(max_examples=80)
+    @example(((), (2, 1)))
+    @example(((0, 0), (Q(-3, 2), 1)))
+    def test_rational_fn_reduction(self, parts):
+        num, den = parts
+        rf = RationalFn(num, den)
+        assert (rf.num, rf.den) == ref.rational_fn_fields(num, den)
+        if not any(num):
+            assert rf.den == (1,)
+
+    @given(rational_fns, st.integers(0, 12))
+    @settings(max_examples=80)
+    @example(((1,), (Q(2, 3), Q(-5, 7), Q(3, 4))), 8)
+    def test_rf_to_series(self, parts, order):
+        rf = RationalFn(*parts)
+        assert rf_to_series(rf, order).coeffs == ref.rf_to_series(rf, order).coeffs
+
+    @given(st.lists(rationals, max_size=10), st.integers(0, 10))
+    @settings(max_examples=60)
+    def test_exp(self, tail, order):
+        s = TruncSeries.from_coeffs([0] + tail, order)
+        assert s.exp().coeffs == ref.exp(s).coeffs

@@ -1,4 +1,11 @@
-"""Frozen expected values shared by the module tests and the acceptance suite."""
+"""Frozen expected values shared by the module tests and the acceptance suite,
+and plain-Fraction reference implementations of the integer series kernels."""
+
+from fractions import Fraction
+
+from intervalzeta.series import TruncSeries, poly_add, poly_scale, poly_trim
+
+Q = Fraction
 
 # Endpoint labels (turning-orbit indices) of the level sets M_0..M_4.
 # These are the published lists, with one correction forced by the defining
@@ -19,3 +26,106 @@ CUBIC_COUNTS = [1, 5, 7, 9, 11, 23]
 
 # |fib_language(n)| for n = 1..10
 FIB_WORD_COUNTS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer kernels of intervalzeta.series: the
+# coefficient-by-coefficient rational loops those kernels replaced, kept as
+# they were (exp as a function of the series, the normalization of
+# RationalFn.__post_init__ as a function of its fields)
+# ---------------------------------------------------------------------------
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def poly_mul(p, q) -> tuple[Fraction, ...]:
+    if not p or not q:
+        return ()
+    out = [Q(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        a = _frac(a)
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * _frac(b)
+    return poly_trim(out)
+
+
+def poly_divmod(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact division with remainder in Q[t]."""
+    p = list(poly_trim(p))
+    q = poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Q(0)] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
+        k = len(p) - len(q)
+        c = p[-1] / q[-1]
+        quot[k] = c
+        for i, b in enumerate(q):
+            p[k + i] -= c * b
+        while p and p[-1] == 0:
+            p.pop()
+    return poly_trim(quot), poly_trim(p)
+
+
+def poly_gcd(p, q) -> tuple[Fraction, ...]:
+    """Monic gcd via Euclid's algorithm."""
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        a = poly_scale(a, 1 / a[-1])
+    return a
+
+
+def poly_compose(p, q) -> tuple[Fraction, ...]:
+    """p(q(t)) by Horner on polynomials."""
+    acc: tuple[Fraction, ...] = ()
+    for c in reversed(poly_trim(p)):
+        acc = poly_add(poly_mul(acc, q), (c,))
+    return acc
+
+
+def rational_fn_fields(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The reduced (num, den) of RationalFn(num, den), den[0] == 1."""
+    num = poly_trim(num)
+    den = poly_trim(den)
+    if not den or den[0] == 0:
+        raise ValueError("denominator must have nonzero constant term")
+    g = poly_gcd(num, den)
+    if len(g) > 1:
+        num, _ = poly_divmod(num, g)
+        den, _ = poly_divmod(den, g)
+    c = den[0]
+    num = poly_scale(num, 1 / c)
+    den = poly_scale(den, 1 / c)
+    return num, den
+
+
+def exp(series: TruncSeries) -> TruncSeries:
+    """exp of a series with zero constant term."""
+    if series.coeffs[0] != 0:
+        raise ValueError("exp requires constant term 0")
+    a = series.coeffs
+    e = [Q(1)]
+    for n in range(series.order):
+        # (n+1) e_{n+1} = sum_{k} (k+1) a_{k+1} e_{n-k}
+        s = sum(((k + 1) * a[k + 1] * e[n - k] for k in range(n + 1)), Q(0))
+        e.append(s / (n + 1))
+    return TruncSeries(series.order, tuple(e))
+
+
+def rf_to_series(rf, order: int) -> TruncSeries:
+    """Exact power-series expansion of a rational function."""
+    num, den = rf.num, rf.den
+    out = []
+    for n in range(order + 1):
+        s = num[n] if n < len(num) else Q(0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            s -= den[k] * out[n - k]
+        out.append(s)  # den[0] == 1 by normalization
+    return TruncSeries(order, tuple(out))
