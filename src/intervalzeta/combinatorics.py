@@ -126,31 +126,37 @@ class OrbitInfo:
     cycle: tuple
 
 
-def orbit(rho, i: int) -> OrbitInfo:
-    """Forward orbit of index i under i -> rho[i]: preperiod plus cycle."""
-    rho = _as_comb(rho)
-    if not (0 <= i <= rho.n):
-        raise ValueError("index out of range")
-    seen: dict[int, int] = {}
+def _eventual_path(step, x) -> tuple[list, int]:
+    """The points x, step(x), ... up to the first repeat, and the index at
+    which the cycle starts: the path is the preperiod followed by one cycle.
+
+    Terminates whenever the orbit of x is finite.
+    """
+    seen: dict = {}
     path = []
-    x = i
     while x not in seen:
         seen[x] = len(path)
         path.append(x)
-        x = rho[x]
-    start = seen[x]
+        x = step(x)
+    return path, seen[x]
+
+
+def _index_path(rho, i: int) -> tuple[list[int], int]:
+    """The eventual path of index i under i -> rho[i]."""
+    rho = _as_comb(rho)
+    if not (0 <= i <= rho.n):
+        raise ValueError("index out of range")
+    return _eventual_path(rho.entries.__getitem__, i)
+
+
+def orbit(rho, i: int) -> OrbitInfo:
+    """Forward orbit of index i under i -> rho[i]: preperiod plus cycle."""
+    path, start = _index_path(rho, i)
     return OrbitInfo(preperiod=start, cycle=tuple(path[start:]))
 
 
 def orbit_set(rho, i: int) -> frozenset[int]:
-    rho = _as_comb(rho)
-    info = orbit(rho, i)
-    pts = set(info.cycle)
-    x = i
-    for _ in range(info.preperiod):
-        pts.add(x)
-        x = rho[x]
-    return frozenset(pts)
+    return frozenset(_index_path(rho, i)[0])
 
 
 @dataclass(frozen=True)
@@ -358,8 +364,11 @@ def _itinerary_solutions(model: PLModel, p: int):
     Composes the affine branches along each word of laps, solves the fixed
     point equation, and keeps solutions whose forward orbit is consistent
     with the word.  Words whose composition is the identity are returned
-    separately with their feasibility interval.
+    separately with their feasibility interval.  A flat lap would divide by
+    a zero slope product, so the model must be piecewise monotone.
     """
+    if not is_pm(model.rho):
+        raise ValueError("model is not piecewise monotone")
     n = model.n
     slopes = [model.slope(j) for j in range(n)]
     intercepts = [Q(model.rho[j] - slopes[j] * j) for j in range(n)]
@@ -412,8 +421,6 @@ def periodic_orbits_of_pl(model: PLModel, p: int) -> PeriodicOrbits:
     """
     if p < 1:
         raise ValueError("period must be >= 1")
-    if not is_pm(model.rho):
-        raise ValueError("model is not piecewise monotone")
     solutions, degenerate = _itinerary_solutions(model, p)
     orbits = []
     seen: set[Fraction] = set()
@@ -439,22 +446,6 @@ def periodic_orbits_of_pl(model: PLModel, p: int) -> PeriodicOrbits:
 BASE_UNIMODAL = Combinatorics((0, 2, 3, 1, 0))
 
 
-def _exact_orbit_points(model: PLModel, x: Fraction) -> tuple[list[Fraction], bool]:
-    """Forward orbit of a rational point; True when x itself is periodic.
-
-    Denominators never grow under integer-slope PL maps, so the orbit lives
-    in a finite set and cycle detection terminates.
-    """
-    seen: dict[Fraction, int] = {}
-    path: list[Fraction] = []
-    y = x
-    while y not in seen:
-        seen[y] = len(path)
-        path.append(y)
-        y = model(y)
-    return path, seen[y] == 0
-
-
 def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
     """Marked-orbit construction over the base period-three unimodal model.
 
@@ -467,12 +458,15 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
     pts = [x if isinstance(x, Fraction) else Q(x) for x in points]
     nu = len(pts) + 1
     model = pl_model(BASE_UNIMODAL)
+    # integer slopes never grow a denominator, so every orbit is finite
+    orbits = []
     for x in pts:
         if not (1 <= x <= 3):
             raise ValueError("point %s outside [1, 3]" % x)
-        _, periodic = _exact_orbit_points(model, x)
-        if not periodic:
+        path, start = _eventual_path(model, x)
+        if start != 0:
             raise ValueError("point %s is not periodic for the base model" % x)
+        orbits.append(path)
     if pts and pts[-1] > 2:
         raise ValueError("last point must be <= 2")
     if len(pts) >= 2:
@@ -480,11 +474,7 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
         if any(sgn[i] == sgn[i + 1] for i in range(len(sgn) - 1)):
             raise ValueError("points must alternate sides along the list")
 
-    marked: set[Fraction] = {Q(1), Q(2), Q(3)}
-    for x in pts:
-        path, _ = _exact_orbit_points(model, x)
-        marked.update(path)
-    ys = sorted(marked)
+    ys = sorted({Q(1), Q(2), Q(3)}.union(*orbits))
     n_prime = len(ys)
     pos = {y: k + 1 for k, y in enumerate(ys)}  # 1-based marks
     xi = [pos[model(y)] for y in ys]

@@ -16,9 +16,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .combinatorics import PLModel, turning_points
+from .combinatorics import PLModel, _eventual_path, turning_points
 from .series import (
     Q,
     RationalFn,
@@ -33,17 +33,6 @@ from .series import (
 class KneadingError(RuntimeError):
     """Internal inconsistency: per-column determinants disagree, or the exact
     determinant breaks its degree bound."""
-
-
-@dataclass(frozen=True)
-class SidedState:
-    """One-sided orbit state: the point (an integer: turning orbits of a PL
-    model stay on {0..n}), the side it is approached from, and the
-    accumulated product of the lap signs seen so far."""
-
-    point: int
-    side: int
-    sign: int
 
 
 def _laps(model: PLModel) -> tuple[list[int], tuple[int, ...]]:
@@ -77,15 +66,6 @@ def _sided_lap(turning: Sequence[int], n: int, x, side: int) -> int:
     return lap
 
 
-def _sided_orbit(model: PLModel, turning, shape, state: SidedState) -> Iterator[tuple[SidedState, int]]:
-    """The sided states from `state` on, each with the lap it sits in."""
-    while True:
-        lap = _sided_lap(turning, model.n, state.point, state.side)
-        yield state, lap
-        s = shape[lap]
-        state = SidedState(model(state.point), state.side * s, state.sign * s)
-
-
 def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list[TruncSeries]:
     """Signed one-sided itinerary of c_i as m+1 coefficient series.
 
@@ -98,16 +78,23 @@ def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     comps = [[0] * (order + 1) for _ in shape]
-    orbit = _sided_orbit(model, turning, shape, SidedState(turning[turn_index - 1], side, 1))
-    for n, (state, lap) in zip(range(order + 1), orbit):
-        comps[lap][n] += state.sign
+    point, sign = turning[turn_index - 1], 1
+    for n in range(order + 1):
+        lap = _sided_lap(turning, model.n, point, side)
+        comps[lap][n] += sign
+        s = shape[lap]
+        point, side, sign = model(point), side * s, sign * s
     return [TruncSeries(order, tuple(map(Q, c))) for c in comps]
 
 
 @dataclass(frozen=True)
 class KneadingData:
+    """The kneading matrix, m rows and m+1 columns of series with integer
+    coefficients, and the preperiod P_i and period L_i of each row."""
+
     shape: tuple[int, ...]
-    matrix: tuple[tuple[TruncSeries, ...], ...]  # m rows, m+1 columns
+    matrix: tuple[tuple[TruncSeries, ...], ...]
+    periods: tuple[tuple[int, int], ...]
 
     @property
     def modality(self) -> int:
@@ -118,15 +105,42 @@ class KneadingData:
         return self.matrix[0][0].order
 
 
-def kneading_matrix(model: PLModel, order: int) -> KneadingData:
-    """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as a matrix."""
-    shape = lap_shape(model)
+def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
+    """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as a matrix,
+    through t^order; by default through t^N, N = sum_i (P_i + L_i).
+
+    From the first iterate on, c_i^- follows c_i^+ with the opposite sign, so
+    row i is e_i - e_{i-1} at t^0 and 2 eps_n e_{lap_n} at t^n for n >= 1,
+    where (point, side, eps_n) is the n-th sided state of c_i^+ and lap_n
+    its lap.  On a PL model that state ranges over finitely many (integer
+    point, side, sign), so one walk until the first repeat fixes the whole
+    row: a preperiod P_i (at least 1, for the t^0 term) and a period L_i.
+    """
+    turning, shape = _laps(model)
+    n = model.n
+
+    def step(state):
+        point, side, sign = state
+        s = shape[_sided_lap(turning, n, point, side)]
+        return model(point), side * s, sign * s
+
+    walks = [_eventual_path(step, (c, 1, 1)) for c in turning]
+    periods = tuple((max(start, 1), len(path) - start) for path, start in walks)
+    if order is None:
+        order = sum(p + k for p, k in periods)
+    elif order < 0:
+        raise ValueError("order must be >= 0")
     rows = []
-    for i in range(1, len(shape)):
-        plus = theta_series(model, i, +1, order)
-        minus = theta_series(model, i, -1, order)
-        rows.append(tuple(p - q for p, q in zip(plus, minus)))
-    return KneadingData(shape, tuple(rows))
+    for i, (path, start) in enumerate(walks, start=1):
+        terms = [(_sided_lap(turning, n, point, side), 2 * sign) for point, side, sign in path]
+        cycle = len(path) - start
+        row = [[0] * (order + 1) for _ in shape]
+        row[i][0], row[i - 1][0] = 1, -1
+        for t in range(1, order + 1):
+            lap, c = terms[t if t < len(path) else start + (t - start) % cycle]
+            row[lap][t] = c
+        rows.append(tuple(TruncSeries(order, tuple(c)) for c in row))
+    return KneadingData(shape, tuple(rows), periods)
 
 
 def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
@@ -161,26 +175,6 @@ def kneading_determinant(model: PLModel, order: int) -> TruncSeries:
     return rf_to_series(kneading_rational(model), order)
 
 
-def _exact_matrix(model: PLModel) -> tuple[KneadingData, list[tuple[int, int]]]:
-    """The kneading matrix of a PL model through t^N with a preperiod P_i
-    and period L_i of each row, N = sum_i (P_i + L_i).
-
-    From the first iterate on, c_i^- follows c_i^+ with the opposite sign,
-    so past its first term row i repeats with the sided state of c_i^+; on a
-    PL model that state ranges over finitely many (integer point, side, sign).
-    """
-    turning, shape = _laps(model)
-    periods = []
-    for c in turning:
-        seen: dict[SidedState, int] = {}
-        for state, _ in _sided_orbit(model, turning, shape, SidedState(c, 1, 1)):
-            if state in seen:
-                break
-            seen[state] = len(seen)
-        periods.append((max(seen[state], 1), len(seen) - seen[state]))
-    return kneading_matrix(model, sum(p + k for p, k in periods)), periods
-
-
 def kneading_rational(model: PLModel) -> RationalFn:
     """The kneading determinant D(t) of a PL model as an exact rational function.
 
@@ -190,12 +184,12 @@ def kneading_rational(model: PLModel) -> RationalFn:
     agree through t^N agree exactly, and since the shape signs s_col take
     both values, D(t) Pi is then a polynomial of degree below N - m.
     """
-    return _rational_determinant(*_exact_matrix(model))
+    return _rational_determinant(kneading_matrix(model))
 
 
-def _rational_determinant(kd: KneadingData, periods: list[tuple[int, int]]) -> RationalFn:
+def _rational_determinant(kd: KneadingData) -> RationalFn:
     den = (Q(1),)
-    for _, period in periods:
+    for _, period in kd.periods:
         den = poly_mul(den, (1,) + (0,) * (period - 1) + (-1,))
     det = _cross_checked(_column_determinants(kd))
     num = (det * TruncSeries.from_coeffs(den, kd.order)).coeffs
@@ -287,12 +281,12 @@ def vu_structure_check(model: PLModel, dominant_row: int) -> VUStructureReport:
     polynomial (the dominant row keeps only that entry, its other components
     vanishing identically).  Both tests are exact.
     """
-    shape = lap_shape(model)
-    m = len(shape) - 1
+    kd = kneading_matrix(model)
+    m = kd.modality
     j = dominant_row
     if not (1 <= j <= m):
         raise ValueError("dominant row out of range")
-    kd, periods = _exact_matrix(model)
+    periods = kd.periods
     # the repeating part of every entry's coefficients
     cycles = [[e.coeffs[p : p + k] for e in row] for row, (p, k) in zip(kd.matrix, periods)]
 
@@ -306,6 +300,6 @@ def vu_structure_check(model: PLModel, dominant_row: int) -> VUStructureReport:
 
     pivot = rational_from_eventually_periodic(kd.matrix[j - 1][j].coeffs[: periods[j - 1][0]], cycles[j - 1][j])
     # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t)
-    minor = _rational_determinant(kd, periods) * RationalFn.from_poly((1, -shape[j - 1]))
+    minor = _rational_determinant(kd) * RationalFn.from_poly((1, -kd.shape[j - 1]))
     factors_ok = pivot.at_zero() != 0 and (minor * pivot.reciprocal()).den == (1,)
     return VUStructureReport(rows_ok and factors_ok, rows_ok, factors_ok)

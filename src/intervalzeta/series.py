@@ -426,18 +426,14 @@ class PeriodicityCertificate:
     depth: int  # number of coefficients inspected
 
 
-def detect_eventual_periodicity(
-    coeffs: Sequence[int],
-    max_preperiod: int | None = None,
-    max_period: int | None = None,
-) -> PeriodicityCertificate | None:
+def detect_eventual_periodicity(coeffs: Sequence[int]) -> PeriodicityCertificate | None:
     """Search for the minimal eventually periodic pattern in a truncation.
 
     Heuristic by construction: a certificate only asserts consistency with
-    the inspected prefix.  The search is bounded (defaults: preperiod and
-    period each at most len(coeffs)//3) and a candidate period must repeat
-    in full at least twice past the preperiod, which bounds the
-    false-positive risk on truncations of aperiodic sequences.
+    the inspected prefix.  The search is bounded (preperiod and period each
+    at most len(coeffs)//3) and a candidate period must repeat in full at
+    least twice past the preperiod, which bounds the false-positive risk on
+    truncations of aperiodic sequences.
 
     Minimality is by smallest period, then smallest preperiod.
     """
@@ -445,10 +441,9 @@ def detect_eventual_periodicity(
     depth = len(coeffs)
     if depth == 0:
         return None
-    kmax = max_period if max_period is not None else depth // 3
-    pmax = max_preperiod if max_preperiod is not None else depth // 3
-    for k in range(1, kmax + 1):
-        for p in range(0, pmax + 1):
+    bound = depth // 3
+    for k in range(1, bound + 1):
+        for p in range(0, bound + 1):
             if depth - p < 2 * k:
                 break
             if all(coeffs[i + k] == coeffs[i] for i in range(p, depth - k)):

@@ -18,6 +18,7 @@ from intervalzeta.combinatorics import (
     is_pm,
     is_virtually_unimodal,
     orbit,
+    orbit_set,
     periodic_orbits_of_pl,
     pl_model,
     turning_points,
@@ -114,6 +115,17 @@ class TestOrbit:
             assert info.preperiod + len(info.cycle) <= rho.n + 1
             assert len(set(info.cycle)) == len(info.cycle)
             assert rho[info.cycle[-1]] == info.cycle[0]
+
+    @given(valid_rhos())
+    @settings(max_examples=80)
+    def test_orbit_set_is_preperiod_and_cycle(self, rho):
+        for i in range(rho.n + 1):
+            info = orbit(rho, i)
+            points, x = set(), i
+            for _ in range(info.preperiod + len(info.cycle)):
+                points.add(x)
+                x = rho[x]
+            assert orbit_set(rho, i) == points
 
 
 class TestPredicates:
@@ -265,6 +277,13 @@ class TestPeriodicOrbits:
             for x in o.cycle:
                 assert model.iterate(x, p) == x
             assert len(o.cycle) == p
+
+    @pytest.mark.parametrize("rho", [(0, 1, 1, 0), (0, 2, 2, 0), (1, 1)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_flat_lap_is_refused(self, rho, p):
+        for count in (count_fixed_points_of_iterate, periodic_orbits_of_pl):
+            with pytest.raises(ValueError, match="not piecewise monotone"):
+                count(pl_model(rho), p)
 
     def test_full_tent_counts_double(self):
         model = pl_model((0, 2, 0))

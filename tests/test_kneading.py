@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalzeta.combinatorics import Combinatorics, generate_vu, is_pm, pl_model, turning_points
+from intervalzeta.combinatorics import Combinatorics, PLModel, generate_vu, is_pm, pl_model, turning_points
 from intervalzeta.kneading import (
     _column_determinants,
     _sided_lap,
@@ -106,6 +106,37 @@ class TestThetaSeries:
         nu_right = plus[1] - minus[1]
         nu_left = plus[0] - minus[0]
         assert nu_right[0] == 1 and nu_left[0] == -1
+
+
+class TestKneadingMatrix:
+    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_theta_increments(self, rho, data):
+        # the one walk of c_i^+ against both sided itineraries, at any order
+        model = pl_model(rho)
+        order = data.draw(st.integers(0, 3 * kneading_matrix(model).order))
+        kd = kneading_matrix(model, order)
+        for i, row in enumerate(kd.matrix, start=1):
+            plus = theta_series(model, i, +1, order)
+            minus = theta_series(model, i, -1, order)
+            assert [e.coeffs for e in row] == [(p - q).coeffs for p, q in zip(plus, minus)]
+
+    @pytest.mark.parametrize("nu, evaluations", [(3, 14), (5, 24)])
+    def test_one_walk_per_turning_point(self, nu, evaluations, monkeypatch):
+        calls = []
+        evaluate = PLModel.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(PLModel, "__call__", counted)
+        model = pl_model(generate_vu(nu))
+        kneading_rational(model)
+        assert len(calls) <= evaluations
+        kd = kneading_matrix(model)
+        assert kd.periods == ((1, 4),) * (nu - 1) + ((1, 3),)
+        assert kd.order == sum(p + k for p, k in kd.periods)
 
 
 class TestKneadingDeterminant:

@@ -114,6 +114,11 @@ class TestDetectPeriodicity:
         cert = detect_eventual_periodicity([1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2])
         assert (cert.preperiod, cert.period) == (0, 2)
 
+    def test_search_bounds_are_a_third_of_the_depth(self):
+        cert = detect_eventual_periodicity([0] * 4 + [1] * 8)
+        assert (cert.preperiod, cert.period) == (4, 1)
+        assert detect_eventual_periodicity([0] * 5 + [1] * 7) is None
+
     def test_no_certificate_on_short_input(self):
         assert detect_eventual_periodicity([1, 2]) is None
 
