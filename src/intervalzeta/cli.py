@@ -240,10 +240,10 @@ def _cmd_zeta_mt_check(args):
 # ---------------------------------------------------------------------------
 
 
-def _cubic_counts(s: Fraction, n_max: int, tol: float) -> tuple[float, float, list[int]]:
+def _cubic_counts(s: Fraction, n_max: int) -> tuple[float, float, list[int]]:
     """The invariant interval [alpha, beta] and the counts N_1..N_n_max."""
-    alpha, beta = cubicfam.filled_julia_endpoints(s, tol)
-    counts = cubicfam.periodic_counts(s, alpha, beta, n_max, tol)
+    alpha, beta = cubicfam.filled_julia_endpoints(s)
+    counts = cubicfam.periodic_counts(s, alpha, beta, n_max)
     return alpha, beta, [c.count for c in counts]
 
 
@@ -253,7 +253,7 @@ def _cmd_cubic_report(args):
     cubicfam.check_depth(args.depth)
     s = args.s
     poly, par = cubicfam.cubic_family(s)
-    alpha, beta, counts = _cubic_counts(s, args.nmax, args.tol)
+    alpha, beta, counts = _cubic_counts(s, args.nmax)
     pieces = cubicfam.repeller_pieces(s, args.depth)
     disjoint = cubicfam.pairwise_disjoint([p.interval for p in pieces])
     payload = {
@@ -285,7 +285,7 @@ def _cmd_cubic_sweep(args):
     rows = []
     for k in range(steps + 1):
         s = lo + (hi - lo) * Fraction(k, steps)
-        alpha, beta, counts = _cubic_counts(s, 6, args.tol)
+        alpha, beta, counts = _cubic_counts(s, 6)
         rows.append([str(s), float(cubicfam.critical_value(s)), alpha, beta, *counts])
     header = ["s", "F_s(c_s)", "alpha", "beta", "N1", "N2", "N3", "N4", "N5", "N6"]
     payload = [dict(zip(header, row)) for row in rows]
@@ -293,7 +293,7 @@ def _cmd_cubic_sweep(args):
 
 
 def _cmd_cubic_count(args):
-    result = cubicfam.count_periodic(args.s, args.n, args.tol)
+    result = cubicfam.count_periodic(args.s, args.n)
     _emit({"s": str(args.s), "n": result.n, "count": result.count, "flagged": list(result.flagged)}, args)
 
 
@@ -420,11 +420,10 @@ _COMMANDS = {
                                           ("--order", {**_ORDER[1], "help": "accepted and ignored"})]),
     }),
     "cubic": ("the cubic family", {
-        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": int, "default": 4}), _TOL, _DEPTH]),
+        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": int, "default": 4}), _DEPTH]),
         "sweep": (_cmd_cubic_sweep, [_required("--from", _fraction, dest="start"),
-                                     _required("--to", _fraction, dest="stop"), _required("--steps", int),
-                                     _TOL, _FORMAT]),
-        "count": (_cmd_cubic_count, [_S, _required("--n", int), _TOL]),
+                                     _required("--to", _fraction, dest="stop"), _required("--steps", int), _FORMAT]),
+        "count": (_cmd_cubic_count, [_S, _required("--n", int)]),
         "repeller": (_cmd_cubic_repeller, [_S, _DEPTH]),
     }),
     "fib": ("Fibonacci tent map", {
@@ -438,9 +437,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse of Python 3.11 drops an option value that is exactly
+    "--" (as in `--n=--`) and stores [] without calling the option's type;
+    here "--" is converted and checked like any other value."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="intervalzeta")
+    parser = _Parser(prog="intervalzeta")
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (help_text, commands) in _COMMANDS.items():
         subs = groups.add_parser(group, help=help_text).add_subparsers(dest="cmd", required=True)

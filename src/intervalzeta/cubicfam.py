@@ -42,10 +42,10 @@ class RealPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        exact = isinstance(x, (int, Fraction))
-        acc = Q(0) if exact else 0.0
+        """Horner's rule; at a float x it makes `float_fn`'s IEEE steps."""
+        acc = Q(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + (c if exact else float(c))
+            acc = acc * x + c
         return acc
 
     def compose(self, other: "RealPoly") -> "RealPoly":
@@ -167,8 +167,16 @@ def s_star(tol: float = 1e-9) -> SStar:
 # numerical layer
 # ---------------------------------------------------------------------------
 
+# The layer's two fixed tolerances: the root bisections of the invariant
+# interval, the preimage tree and counting stop at _COUNT_TOL; those of the
+# inverse-branch system stop at _BRANCH_TOL, and its containment margins are
+# 4 * _BRANCH_TOL.  Other values change counts or flagged samples, or refuse
+# valid parameters.
+_COUNT_TOL = 1e-12
+_BRANCH_TOL = 1e-13
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -190,7 +198,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-def _real_roots_in(poly: RealPoly, lo: float, hi: float, samples: int = 600, tol: float = 1e-13) -> list[float]:
+def _real_roots_in(poly: RealPoly, lo: float, hi: float, tol: float, samples: int = 600) -> list[float]:
     """Simple roots of an exact polynomial in [lo, hi] by sign scan + bisection."""
     f = poly.float_fn()
     xs = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
@@ -229,7 +237,7 @@ def _float_map(par: CubicParam) -> Callable[[float], float]:
     return f
 
 
-def filled_julia_endpoints(s, tol: float = 1e-12) -> tuple[float, float]:
+def filled_julia_endpoints(s) -> tuple[float, float]:
     """Outermost real boundary pair [alpha, beta], swapped by F_s.
 
     Solves F^2(x) = x with the fixed points removed, takes the extremal
@@ -239,7 +247,7 @@ def filled_julia_endpoints(s, tol: float = 1e-12) -> tuple[float, float]:
     f = _float_map(par)
     sextic = two_cycle_polynomial(s)
     bound = 1.0 + max(abs(float(c)) for c in sextic.coeffs[:-1]) / abs(float(sextic.coeffs[-1]))
-    roots = _real_roots_in(sextic, -bound, bound, tol=tol)
+    roots = _real_roots_in(sextic, -bound, bound, _COUNT_TOL)
     if len(roots) < 2:
         raise BranchError("no bounded invariant interval found at s=%s" % s)
     alpha, beta = min(roots), max(roots)
@@ -254,7 +262,7 @@ def filled_julia_endpoints(s, tol: float = 1e-12) -> tuple[float, float]:
     return alpha, beta
 
 
-def _preimages(f, lap_bounds: Sequence[float], y: float, tol: float) -> list[float]:
+def _preimages(f, lap_bounds: Sequence[float], y: float) -> list[float]:
     """Solutions of f(x) = y, one bisection per monotone lap."""
     out = []
     for lo, hi in zip(lap_bounds, lap_bounds[1:]):
@@ -266,7 +274,7 @@ def _preimages(f, lap_bounds: Sequence[float], y: float, tol: float) -> list[flo
             out.append(hi)
             continue
         if (flo > 0) != (fhi > 0):
-            out.append(_bisect(lambda x: f(x) - y, lo, hi, tol))
+            out.append(_bisect(lambda x: f(x) - y, lo, hi, _COUNT_TOL))
     return out
 
 
@@ -277,7 +285,7 @@ class PeriodicCount:
     flagged: tuple[float, ...] = ()
 
 
-def _lap_endpoints(par: CubicParam, alpha: float, beta: float, tol: float) -> Iterator[set[float]]:
+def _lap_endpoints(par: CubicParam, alpha: float, beta: float) -> Iterator[set[float]]:
     """The lap endpoints of F, F^2, F^3, ... in turn: the n-th set holds
     alpha, beta and the critical points with their preimages of order < n.
     One preimage tree, extended by a level per step; the same set is
@@ -291,13 +299,12 @@ def _lap_endpoints(par: CubicParam, alpha: float, beta: float, tol: float) -> It
         yield endpoints
         nxt: list[float] = []
         for y in level:
-            nxt.extend(x for x in _preimages(f, lap_bounds, y, tol) if alpha - tol <= x <= beta + tol)
+            nxt.extend(x for x in _preimages(f, lap_bounds, y) if alpha - _COUNT_TOL <= x <= beta + _COUNT_TOL)
         level = nxt
         endpoints.update(level)
 
 
-def _count_on_laps(par: CubicParam, n: int, alpha: float, beta: float,
-                   endpoints: set[float], tol: float) -> PeriodicCount:
+def _count_on_laps(par: CubicParam, n: int, alpha: float, beta: float, endpoints: set[float]) -> PeriodicCount:
     """Solutions of F^n(x) = x, from one streamed scan of the laps of F^n."""
     span = beta - alpha
     merged = []
@@ -361,12 +368,12 @@ def _count_on_laps(par: CubicParam, n: int, alpha: float, beta: float,
         if x not in (alpha, beta):
             flagged.append(x)
     for lo, hi in brackets:
-        add_root(_bisect(lambda x: g(x) - x, lo, hi, tol))
+        add_root(_bisect(lambda x: g(x) - x, lo, hi, _COUNT_TOL))
 
     return PeriodicCount(n, len(roots), tuple(flagged))
 
 
-def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
+def count_periodic(s, n: int) -> PeriodicCount:
     """Number of solutions of F_s^n(x) = x on the invariant interval.
 
     Lap endpoints of F^n are the iterated preimages of the critical points;
@@ -380,19 +387,19 @@ def count_periodic(s, n: int, tol: float = 1e-12) -> PeriodicCount:
     if n < 1:
         raise ValueError("n must be >= 1")
     par = _params(s)
-    alpha, beta = filled_julia_endpoints(s, tol)
-    endpoints = next(islice(_lap_endpoints(par, alpha, beta, tol), n - 1, None))
-    return _count_on_laps(par, n, alpha, beta, endpoints, tol)
+    alpha, beta = filled_julia_endpoints(s)
+    endpoints = next(islice(_lap_endpoints(par, alpha, beta), n - 1, None))
+    return _count_on_laps(par, n, alpha, beta, endpoints)
 
 
-def periodic_counts(s, alpha: float, beta: float, nmax: int, tol: float = 1e-12) -> list[PeriodicCount]:
-    """`count_periodic(s, n, tol)` for n = 1..nmax, from one preimage tree
-    on the invariant interval [alpha, beta] = `filled_julia_endpoints(s, tol)`."""
+def periodic_counts(s, alpha: float, beta: float, nmax: int) -> list[PeriodicCount]:
+    """`count_periodic(s, n)` for n = 1..nmax, from one preimage tree on the
+    invariant interval [alpha, beta] = `filled_julia_endpoints(s)`."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     par = _params(s)
-    laps = _lap_endpoints(par, alpha, beta, tol)
-    return [_count_on_laps(par, n, alpha, beta, next(laps), tol) for n in range(1, nmax + 1)]
+    laps = _lap_endpoints(par, alpha, beta)
+    return [_count_on_laps(par, n, alpha, beta, next(laps)) for n in range(1, nmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +442,20 @@ class BranchSystem:
     cycle: tuple[float, float, float]  # repelling orbit p0 -> p1 -> p2
     ell0: float
     ell1: float
-    tol: float
     _f: Callable[[float], float] = field(repr=False, default=None)
 
     def phi2(self, y: float) -> float:
         """Inverse of F on the J2 side (F decreasing there)."""
-        return _bisect(lambda x: self._f(x) - y, self.j2.lo - 4 * self.tol, self.j2.hi + 4 * self.tol, self.tol)
+        m = 4 * _BRANCH_TOL
+        return _bisect(lambda x: self._f(x) - y, self.j2.lo - m, self.j2.hi + m, _BRANCH_TOL)
 
     def phi1(self, y: float) -> float:
         """Inverse of F^2 on the J1 side (F^2 decreasing there)."""
-        return _bisect(lambda x: self._f(self._f(x)) - y, self.j1.lo - 4 * self.tol, self.j1.hi + 4 * self.tol, self.tol)
+        m = 4 * _BRANCH_TOL
+        return _bisect(lambda x: self._f(self._f(x)) - y, self.j1.lo - m, self.j1.hi + m, _BRANCH_TOL)
 
 
-def repelling_three_cycle(s, tol: float = 1e-12) -> tuple[float, float, float]:
+def repelling_three_cycle(s) -> tuple[float, float, float]:
     """The repelling period-three orbit p0 -> p1 -> p2.
 
     F^3(x) - x is deflated exactly by the fixed-point factor F(x) - x and by
@@ -459,7 +467,7 @@ def repelling_three_cycle(s, tol: float = 1e-12) -> tuple[float, float, float]:
     residual = g3.divide_exactly(poly - IDENTITY)
     crit_factor = RealPoly(poly_mul(poly_mul((Q(0), Q(1)), (Q(-1), Q(1))), (par.s, Q(1))))
     residual = residual.divide_exactly(crit_factor)
-    roots = _real_roots_in(residual, float(-par.s), 1.0, samples=800, tol=tol)
+    roots = _real_roots_in(residual, float(-par.s), 1.0, _BRANCH_TOL, samples=800)
     roots = [r for r in roots if float(-par.s) < r < 1.0]
     if len(roots) != 3:
         raise BranchError("expected 3 repelling period-3 points in (-s, 1), got %d" % len(roots))
@@ -471,7 +479,7 @@ def repelling_three_cycle(s, tol: float = 1e-12) -> tuple[float, float, float]:
     return p0, p1, p2
 
 
-def build_branch_system(s, tol: float = 1e-13) -> BranchSystem:
+def build_branch_system(s) -> BranchSystem:
     """Construct J, J1, J2 and the inverse branches around the repeller.
 
     ell0 and ell1 sit at the midpoints of their admissible intervals; the
@@ -480,7 +488,7 @@ def build_branch_system(s, tol: float = 1e-13) -> BranchSystem:
     """
     par = _params(s)
     f = _float_map(par)
-    p0, p1, p2 = repelling_three_cycle(s, tol)
+    p0, p1, p2 = repelling_three_cycle(s)
     ms = float(-par.s)
 
     ell0 = 0.5 * (ms + p2)
@@ -490,12 +498,13 @@ def build_branch_system(s, tol: float = 1e-13) -> BranchSystem:
     ell1 = 0.5 * (f3 + ell0)
     base = Interval(f3, f(f(ell1)))
     # symmetric point of F(ell0): same image, on the other side of 0
-    perp = _bisect(lambda x: f(x) - f2, float(par.c_s), 0.0, tol)
+    perp = _bisect(lambda x: f(x) - f2, float(par.c_s), 0.0, _BRANCH_TOL)
     j1 = Interval(ell1, perp)
     j2 = Interval(f(ell1), f2)
-    if not (base.contains(j1, margin=4 * tol) and base.contains(j2, margin=4 * tol)):
+    margin = 4 * _BRANCH_TOL
+    if not (base.contains(j1, margin) and base.contains(j2, margin)):
         raise BranchError("sub-intervals escape the base interval at s=%s" % s)
-    if not j1.disjoint(j2, margin=4 * tol):
+    if not j1.disjoint(j2, margin):
         raise BranchError("sub-intervals overlap at s=%s" % s)
     if j1.lo <= 0.0 <= j1.hi or j2.lo <= 0.0 <= j2.hi:
         raise BranchError("free critical point inside a sub-interval at s=%s" % s)
@@ -510,7 +519,7 @@ def build_branch_system(s, tol: float = 1e-13) -> BranchSystem:
 
     return BranchSystem(
         s=par.s, base=base, j1=j1, j2=j2, k1=k1, k2=k2,
-        cycle=(p0, p1, p2), ell0=ell0, ell1=ell1, tol=tol, _f=f,
+        cycle=(p0, p1, p2), ell0=ell0, ell1=ell1, _f=f,
     )
 
 
@@ -529,7 +538,7 @@ def check_depth(depth: int) -> None:
         raise ValueError("depth capped at 12")
 
 
-def repeller_pieces(s, depth: int, tol: float = 1e-13) -> list[RepellerPiece]:
+def repeller_pieces(s, depth: int) -> list[RepellerPiece]:
     """One interval per admissible word of the given length.
 
     The piece for w applies one inverse branch per symbol (phi1 for 1, phi2
@@ -545,7 +554,7 @@ def repeller_pieces(s, depth: int, tol: float = 1e-13) -> list[RepellerPiece]:
     from the one below: two branch inversions per piece of every depth.
     """
     check_depth(depth)
-    bs = build_branch_system(s, tol)
+    bs = build_branch_system(s)
     phi = {"1": bs.phi1, "2": bs.phi2}
 
     def image(w: str, lo: float, hi: float) -> tuple[float, float]:

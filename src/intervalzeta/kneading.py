@@ -204,32 +204,6 @@ def _rational_determinant(kd: KneadingData) -> RationalFn:
 # ---------------------------------------------------------------------------
 
 
-def unimodal_eps(model: PLModel, order: int) -> list[int]:
-    """Signs eps_1..eps_order of the turning orbit of a unimodal model.
-
-    eps_n is the slope sign of the lap containing F^n(c); an exact return
-    to c contributes the product of the previous signs.
-    """
-    trn = turning_points(model.rho)
-    if len(trn) != 1:
-        raise ValueError("model is not unimodal")
-    c = trn[0]
-    rho = model.rho
-    left = 1 if rho[1] > rho[0] else -1
-    out = []
-    running = 1
-    x = c
-    for _ in range(order):
-        x = rho[x]
-        if x == c:
-            e = running
-        else:
-            e = left if x < c else -left
-        out.append(e)
-        running *= e
-    return out
-
-
 def unimodal_kneading(eps: Sequence[int], order: int) -> TruncSeries:
     """Partial-product series 1 + e1 t + e1 e2 t^2 + ... from signs eps."""
     if len(eps) < order:

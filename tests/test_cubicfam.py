@@ -29,6 +29,7 @@ from intervalzeta.cubicfam import (
     verify_critical_orbit,
 )
 from intervalzeta.subshift import fib_language, vee_map
+from intervalzeta.zeta import counts_from_zeta, zeta_vu_closed_form
 
 S_STAR_BRACKET = s_star(1e-9).bracket
 BRANCH_PARAMETERS = [Q(1), Q(6, 5), S_STAR_BRACKET[0]]
@@ -155,6 +156,7 @@ class TestEndpoints:
         alpha, beta = filled_julia_endpoints(s)
         x = data.draw(st.floats(min_value=alpha, max_value=beta))
         assert _float_map(par)(x) == poly.float_fn()(x)
+        assert poly(x).hex() == poly.float_fn()(x).hex()
 
     def test_two_cycle_polynomial_is_exact_quotient(self):
         poly, _ = cubic_family(Q(6, 5))
@@ -176,6 +178,15 @@ class TestCounting:
         expected = [1, 5, 7, 9, 11, 23]
         for s in (Q(1), (1 + lo) / 2, lo - Q(1, 100)):
             assert [count_periodic(s, n).count for n in range(1, 7)] == expected
+
+    def test_counts_equal_the_closed_form_on_a_grid(self):
+        # N_1..N_8 of 1/((1-t^2)(1-t^3)(1-t-t^2)) at s = 1, 1.03, ..., 1.36,
+        # one preimage tree per s
+        expected = counts_from_zeta(zeta_vu_closed_form(2), 8)
+        for k in range(13):
+            s = 1 + Q(3 * k, 100)
+            counts = periodic_counts(s, *filled_julia_endpoints(s), 8)
+            assert [c.count for c in counts] == expected, s
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

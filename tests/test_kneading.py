@@ -13,12 +13,13 @@ from intervalzeta.kneading import (
     kneading_rational,
     lap_shape,
     theta_series,
-    unimodal_eps,
     unimodal_kneading,
     unimodal_rational_form,
     vu_structure_check,
 )
 from intervalzeta.series import RationalFn, rf_to_series
+
+from tests_support import unimodal_eps
 
 RHO0 = (0, 2, 3, 1, 0)
 FULL_TENT = (0, 2, 0)

@@ -1,8 +1,10 @@
 """Frozen expected values shared by the module tests and the acceptance suite,
-and plain-Fraction reference implementations of the integer series kernels."""
+plain-Fraction reference implementations of the integer series kernels, and
+the unimodal sign sequence the kneading tests compare against."""
 
 from fractions import Fraction
 
+from intervalzeta.combinatorics import PLModel, turning_points
 from intervalzeta.series import TruncSeries, poly_add, poly_scale, poly_trim
 
 Q = Fraction
@@ -26,6 +28,32 @@ CUBIC_COUNTS = [1, 5, 7, 9, 11, 23]
 
 # |fib_language(n)| for n = 1..10
 FIB_WORD_COUNTS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+
+
+def unimodal_eps(model: PLModel, order: int) -> list[int]:
+    """Signs eps_1..eps_order of the turning orbit of a unimodal model.
+
+    eps_n is the slope sign of the lap containing F^n(c); an exact return
+    to c contributes the product of the previous signs.
+    """
+    trn = turning_points(model.rho)
+    if len(trn) != 1:
+        raise ValueError("model is not unimodal")
+    c = trn[0]
+    rho = model.rho
+    left = 1 if rho[1] > rho[0] else -1
+    out = []
+    running = 1
+    x = c
+    for _ in range(order):
+        x = rho[x]
+        if x == c:
+            e = running
+        else:
+            e = left if x < c else -left
+        out.append(e)
+        running *= e
+    return out
 
 
 # ---------------------------------------------------------------------------
