@@ -6,9 +6,10 @@ keys, deterministic) or CSV to stdout or --out.  Exit codes: 0 success,
 
 The whole surface is one table, `_COMMANDS`: group -> (help, {command ->
 (handler, the flags it reads)}); every subcommand also takes the `_COMMON`
-flags.  The `--order` and `--tol` types refuse out-of-range values as usage
-errors.  A handler gets the parsed namespace alone; `main` writes a
-`DomainFailure` or library error it raises as one JSON failure line.
+flags.  The types of `--order`, `--tol` and the size flags (capped by
+`SIZE_CAPS`) refuse out-of-range values as usage errors.  A handler gets the
+parsed namespace alone; `main` writes a `DomainFailure` or library error it
+raises as one JSON failure line.
 """
 
 from __future__ import annotations
@@ -50,14 +51,29 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("not a comma-separated integer list: %r" % text) from exc
 
 
-def _order(text: str) -> int:
-    try:
-        order = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("not an integer: %r" % text) from exc
-    if order < 8:
-        raise argparse.ArgumentTypeError("--order must be >= 8")
-    return order
+# the largest value of each size flag: a larger one is a usage error, refused
+# before any work is done.  Each is at least ten times the largest value the
+# README, the tests and the benchmark use.
+SIZE_CAPS = {"--nu": 100, "--order": 2048, "--n": 120, "--nmax": 60, "--kmax": 90, "--steps": 80}
+
+
+def _size(flag: str, least: int | None = None):
+    """The type of an integer size flag: above its cap, or below `least`
+    when given, a value is a usage error."""
+    cap = SIZE_CAPS[flag]
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text) from exc
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError("%s must be >= %d" % (flag, least))
+        if value > cap:
+            raise argparse.ArgumentTypeError("%s must be <= %d" % (flag, cap))
+        return value
+
+    return parse
 
 
 def _tol(text: str) -> float:
@@ -382,7 +398,10 @@ def _required(flag: str, parse, **kwargs):
 
 _RHO = _required("--rho", _int_list)
 _S = _required("--s", _fraction)
-_ORDER = ("--order", {"type": _order, "default": 64, "help": "series truncation order (>= 8)"})
+_NU = _required("--nu", _size("--nu"))
+_N = _required("--n", _size("--n"))
+_ORDER = ("--order", {"type": _size("--order", least=8), "default": 64,
+                      "help": "series truncation order (8..%d)" % SIZE_CAPS["--order"]})
 _TOL = ("--tol", {"type": _tol, "default": 1e-12, "help": "numeric tolerance (> 0)"})
 _DEPTH = ("--depth", {"type": int, "default": 6, "help": "depth for word/piece constructions"})
 _FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"})
@@ -396,7 +415,7 @@ _COMMON = (
 _COMMANDS = {
     "comb": ("combinatorics vectors", {
         "validate": (_cmd_comb_validate, [_RHO]),
-        "generate": (_cmd_comb_generate, [_required("--nu", int)]),
+        "generate": (_cmd_comb_generate, [_NU]),
         "orbit": (_cmd_comb_orbit, [_RHO, _required("--index", int)]),
     }),
     "knead": ("kneading data", {
@@ -410,8 +429,8 @@ _COMMANDS = {
         "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list),
                                                  ("--order", {**_ORDER[1], "default": None,
                                                               "help": "series order (default: number of counts)"})]),
-        "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _required("--n", int)]),
-        "closed-form": (_cmd_zeta_closed_form, [_required("--nu", int),
+        "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _N]),
+        "closed-form": (_cmd_zeta_closed_form, [_NU,
                                                  ("--order", {**_ORDER[1], "default": 24,
                                                               "help": "number of counts N_1..N_order"})]),
         # exact, so --order is ignored; kept because bench/workloads.py and the README pass it
@@ -420,16 +439,17 @@ _COMMANDS = {
                                           ("--order", {**_ORDER[1], "help": "accepted and ignored"})]),
     }),
     "cubic": ("the cubic family", {
-        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": int, "default": 4}), _DEPTH]),
+        "report": (_cmd_cubic_report, [_S, ("--nmax", {"type": _size("--nmax"), "default": 4}), _DEPTH]),
         "sweep": (_cmd_cubic_sweep, [_required("--from", _fraction, dest="start"),
-                                     _required("--to", _fraction, dest="stop"), _required("--steps", int), _FORMAT]),
-        "count": (_cmd_cubic_count, [_S, _required("--n", int)]),
+                                     _required("--to", _fraction, dest="stop"),
+                                     _required("--steps", _size("--steps")), _FORMAT]),
+        "count": (_cmd_cubic_count, [_S, _N]),
         "repeller": (_cmd_cubic_repeller, [_S, _DEPTH]),
     }),
     "fib": ("Fibonacci tent map", {
         "find-lambda": (_cmd_fib_find_lambda, [_DEPTH, _TOL]),
         "check": (_cmd_fib_check, [_required("--lambda", _fraction, dest="lam"),
-                                   ("--kmax", {"type": int, "default": 6}), _FORMAT]),
+                                   ("--kmax", {"type": _size("--kmax"), "default": 6}), _FORMAT]),
     }),
     "series": ("series utilities", {
         "detect-period": (_cmd_series_detect_period, [_required("--coeffs", _int_list)]),

@@ -5,9 +5,11 @@ state (point, side, accumulated sign) is advanced by the map, the next side
 being the current side times the slope sign of the lap the sided point sits
 in.  On PL models this is exact; no perturbation is ever needed.
 
-The increments assemble into the kneading matrix, and the determinant is
-computed from every deletable column and cross-checked, exactly, as a
-rational function.
+The increments assemble into the kneading matrix, whose determinant is
+computed exactly, as a rational function, from the minor deleting column 0;
+the row identity sum_j nu_ij(t) (1 - s_j t) = 0, by which every column
+gives the same determinant, is checked instead (Milnor-Thurston, On
+iterated maps of the interval, 1988).
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .series import (
 
 
 class KneadingError(RuntimeError):
-    """Internal inconsistency: per-column determinants disagree, or the exact
-    determinant breaks its degree bound."""
+    """Internal inconsistency: a kneading row breaks the Milnor-Thurston
+    identity, or the determinant's leading coefficient is not 1 or its
+    degree bound is broken."""
 
 
 def _laps(model: PLModel) -> tuple[list[int], tuple[int, ...]]:
@@ -143,55 +146,46 @@ def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
     return KneadingData(shape, tuple(rows), periods)
 
 
-def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
-    """The determinant through t^order from each deletable column."""
-    m = kd.modality
-    order = kd.order
-    out = []
-    for col in range(m + 1):
-        minor = [[kd.matrix[i][j] for j in range(m + 1) if j != col] for i in range(m)]
-        det = series_matrix_det(minor)
-        sign = 1 if col % 2 == 0 else -1
-        denom = TruncSeries.from_coeffs((1, -kd.shape[col]), order)
-        out.append((sign * det) * denom.recip())
-    return out
-
-
-def _cross_checked(cands: list[TruncSeries]) -> TruncSeries:
-    """The determinant every deletable column gives, with leading coefficient 1;
-    disagreement is an internal hard error."""
-    first = cands[0]
-    for k, c in enumerate(cands[1:], start=1):
-        if c.coeffs != first.coeffs:
-            raise KneadingError("column %d determinant disagrees with column 0" % k)
-    if first[0] != 1:
-        raise KneadingError("kneading determinant must have leading coefficient 1")
-    return first
-
-
 def kneading_determinant(model: PLModel, order: int) -> TruncSeries:
     """The kneading determinant D(t) through t^order: the expansion of
-    kneading_rational, which has cross-checked every column exactly."""
+    kneading_rational."""
     return rf_to_series(kneading_rational(model), order)
 
 
 def kneading_rational(model: PLModel) -> RationalFn:
     """The kneading determinant D(t) of a PL model as an exact rational function.
 
-    (1 - t^L_i) times an entry of row i is a polynomial of degree below
-    P_i + L_i, so with Pi = prod_i (1 - t^L_i) each column gives D(t) as a
-    polynomial of degree at most N - m over Pi (1 - s_col t).  Columns that
-    agree through t^N agree exactly, and since the shape signs s_col take
-    both values, D(t) Pi is then a polynomial of degree below N - m.
+    As sum_j theta_j(x) (1 - s_j t) = 1 for every sided point x, every row
+    has sum_j nu_ij(t) (1 - s_j t) = 0 (checked through t^(P_i + L_i),
+    which by periodicity is enough).  So the signed minors (-1)^j M_j, which
+    D(0) = 1 makes nonzero, are proportional to (1 - s_j t)_j, and
+    D = M_0 / (1 - s_0 t) is what every column gives (Milnor-Thurston 1988).
+    Each M_j times Pi = prod_i (1 - t^L_i) has degree at most N - m, and
+    the s_j take both values, so D(t) Pi has degree below N - m.
     """
     return _rational_determinant(kneading_matrix(model))
 
 
+def _check_rows(kd: KneadingData) -> None:
+    """Raise unless every row i has sum_j nu_ij(t) (1 - s_j t) = 0 through t^(P_i + L_i)."""
+    for i, (row, (p, k)) in enumerate(zip(kd.matrix, kd.periods), start=1):
+        # coefficient n is sum_j nu_ij[n] - sum_j s_j nu_ij[n-1]
+        prev = 0
+        for col in zip(*(e.coeffs[: p + k + 1] for e in row)):
+            if sum(col) != prev:
+                raise KneadingError("row %d breaks the Milnor-Thurston identity" % i)
+            prev = sum(s * c for s, c in zip(kd.shape, col))
+
+
 def _rational_determinant(kd: KneadingData) -> RationalFn:
+    _check_rows(kd)
     den = (Q(1),)
     for _, period in kd.periods:
         den = poly_mul(den, (1,) + (0,) * (period - 1) + (-1,))
-    det = _cross_checked(_column_determinants(kd))
+    minor = series_matrix_det([row[1:] for row in kd.matrix])
+    det = minor * TruncSeries.from_coeffs((1, -kd.shape[0]), kd.order).recip()
+    if det[0] != 1:
+        raise KneadingError("kneading determinant must have leading coefficient 1")
     num = (det * TruncSeries.from_coeffs(den, kd.order)).coeffs
     degree = kd.order - kd.modality - 1
     if any(num[degree + 1 :]):

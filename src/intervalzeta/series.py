@@ -34,13 +34,18 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _trimmed(a: list[int]) -> list[int]:
+    """An integer coefficient list with its trailing zeros dropped, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _poly_ints(p) -> tuple[list[int], int]:
     """A polynomial as integers over its common denominator, trailing zeros
     dropped."""
     a, d = _scaled(p)
-    while a and not a[-1]:
-        a.pop()
-    return a, d
+    return _trimmed(a), d
 
 
 def _ratios(xs: Iterable[int], d: int) -> tuple[Fraction, ...]:
@@ -81,11 +86,6 @@ def poly_mul(p, q) -> tuple[Fraction, ...]:
     return _ratios(_convolve(a, b, len(a) + len(b) - 2), da * db)
 
 
-def poly_scale(p, c) -> tuple[Fraction, ...]:
-    c = _frac(c)
-    return poly_trim([_frac(a) * c for a in p])
-
-
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Integer pseudo-division by b, with leading coefficient lc = b[-1].
 
@@ -124,22 +124,31 @@ def poly_divmod(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 def _primitive(a: list[int]) -> list[int]:
     """An integer polynomial divided by the gcd of its coefficients, trailing
     zeros dropped."""
-    while a and not a[-1]:
-        a.pop()
-    g = gcd(*a)
+    g = gcd(*_trimmed(a))
     return a if g <= 1 else [x // g for x in a]
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of two integer polynomials, by the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
+    """a / g for a primitive g that divides a: by Gauss's lemma the quotient
+    has integer coefficients, c_i lc^(i-e) from the pseudo-quotient digits."""
+    c, _ = _pseudo_divmod(a, g)
+    lc, e = g[-1], len(c)
+    return [x * lc**i // lc**e for i, x in enumerate(c)]
 
 
 def poly_gcd(p, q) -> tuple[Fraction, ...]:
     """Monic gcd, by the primitive pseudo-remainder sequence on ints."""
-    a, b = _primitive(_scaled(p)[0]), _primitive(_scaled(q)[0])
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    a = _gcd_ints(_scaled(p)[0], _scaled(q)[0])
     return tuple(Q(x, a[-1]) for x in a)
-
-
-def poly_derivative(p) -> tuple[Fraction, ...]:
-    return poly_trim([_frac(c) * i for i, c in enumerate(p)][1:])
 
 
 def poly_compose(p, q) -> tuple[Fraction, ...]:
@@ -368,19 +377,18 @@ class RationalFn:
     den: tuple[Fraction, ...]
 
     def __post_init__(self):
-        num = poly_trim(self.num)
-        den = poly_trim(self.den)
-        if not den or den[0] == 0:
+        # num and den over one common denominator, which cancels
+        k = len(self.num)
+        ints, _ = _scaled([*self.num, *self.den])
+        a, b = _trimmed(ints[:k]), _trimmed(ints[k:])
+        if not b or b[0] == 0:
             raise ValueError("denominator must have nonzero constant term")
-        g = poly_gcd(num, den)
+        g = _gcd_ints(a, b)
         if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        c = den[0]
-        num = poly_scale(num, 1 / c)
-        den = poly_scale(den, 1 / c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+        c = b[0]
+        object.__setattr__(self, "num", tuple(Q(x, c) for x in a))
+        object.__setattr__(self, "den", tuple(Q(x, c) for x in b))
 
     @classmethod
     def from_poly(cls, p) -> "RationalFn":
@@ -458,12 +466,14 @@ def rational_from_eventually_periodic(prefix: Sequence, cycle: Sequence) -> Rati
     """
     if not cycle:
         raise ValueError("cycle must be nonempty")
-    L = len(cycle)
-    den = poly_trim([1] + [0] * (L - 1) + [-1])
-    pre = tuple(_frac(c) for c in prefix)
-    shifted_cycle = [Q(0)] * len(pre) + [_frac(c) for c in cycle]
-    num = poly_add(poly_mul(pre, den) if pre else (), shifted_cycle)
-    return RationalFn(num, den)
+    p, L = len(prefix), len(cycle)
+    ints, d = _scaled([*prefix, *cycle])
+    # everything over the common denominator d
+    num = [0] * p + ints[p:]
+    for i, x in enumerate(ints[:p]):
+        num[i] += x
+        num[i + L] -= x
+    return RationalFn(num, [d] + [0] * (L - 1) + [-d])
 
 
 def cyclotomic_peel(poly: Sequence) -> tuple[list[int], tuple[Fraction, ...]]:

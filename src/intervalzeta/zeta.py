@@ -13,11 +13,10 @@ from .series import (
     Q,
     RationalFn,
     TruncSeries,
+    _convolve,
+    _scaled,
     cyclotomic_peel,
-    poly_derivative,
     poly_mul,
-    poly_sub,
-    poly_trim,
     rf_to_series,
 )
 
@@ -44,11 +43,13 @@ def counts_from_zeta(rf: RationalFn, order: int) -> list[int]:
     """
     if rf.at_zero() != 1:
         raise ValueError("zeta must have constant term 1")
-    p, q = rf.num, rf.den
-    dp, dq = poly_derivative(p), poly_derivative(q)
-    num = poly_trim([Q(0)] + list(poly_sub(poly_mul(dp, q), poly_mul(dq, p))))
-    den = poly_mul(p, q)
-    s = rf_to_series(RationalFn(num, den), order)
+    # zeta = p/q over one common denominator, which cancels in t p'q/(pq) - t q'p/(pq)
+    ints, _ = _scaled([*rf.num, *rf.den])
+    p, q = ints[: len(rf.num)], ints[len(rf.num) :]
+    dp, dq = ([i * x for i, x in enumerate(f)][1:] for f in (p, q))
+    deg = len(p) + len(q) - 2
+    num = [0] + [x - y for x, y in zip(_convolve(dp, q, deg - 1), _convolve(dq, p, deg - 1))]
+    s = rf_to_series(RationalFn(num, _convolve(p, q, deg)), order)
     out = []
     for n in range(1, order + 1):
         c = s[n]

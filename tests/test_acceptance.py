@@ -36,7 +36,6 @@ from intervalzeta.fibmap import (
     target_kneading,
 )
 from intervalzeta.kneading import (
-    _column_determinants,
     kneading_determinant,
     kneading_matrix,
     kneading_rational,
@@ -46,7 +45,7 @@ from intervalzeta.kneading import (
 from intervalzeta.series import RationalFn, detect_eventual_periodicity, rf_to_series
 from intervalzeta.subshift import fib_adjacency, fib_language, fib_numbers, sft_periodic_counts
 from intervalzeta.zeta import counts_from_zeta, mt_relation_check, zeta_from_counts, zeta_vu_closed_form
-from tests_support import CUBIC_COUNTS, FIB_WORD_COUNTS, PAPER_M_LABELS
+from tests_support import CUBIC_COUNTS, FIB_WORD_COUNTS, PAPER_M_LABELS, _column_determinants
 
 FIB_ZETA = RationalFn((1,), (1, -1, -1))
 

@@ -1,17 +1,22 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalzeta import cubicfam, fibmap, kneading
-from intervalzeta.cli import _COMMANDS, build_parser, main
+from intervalzeta.cli import _COMMANDS, SIZE_CAPS, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # SHA-256 of the stdout of cubic commands whose floats come from long
@@ -266,6 +271,15 @@ class TestContract:
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
 
+    def test_huge_size_is_usage_error(self, capsys):
+        # refused before generate_vu would allocate a list of that length
+        with pytest.raises(SystemExit) as exc:
+            main(["comb", "generate", "--nu", "2000000000000000000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "argument --nu: --nu must be <= 100" in captured.err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"
         code, out = run_cli(capsys, "zeta", "sft", "--matrix", "0,1;1,1", "--n", "3", "--out", str(path))
@@ -382,6 +396,38 @@ class TestSurface:
         assert exc.value.code == 2
         assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in OWN for flag in SIZE_CAPS if flag in OWN[name]
+    ])
+    def test_size_caps(self, capsys, name, flag):
+        # the cap itself parses, one more is refused before the handler runs
+        argv = name.split() + VALID[name]
+        cap = SIZE_CAPS[flag]
+        assert getattr(build_parser().parse_args(argv + ["%s=%d" % (flag, cap)]), flag[2:]) == cap
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["%s=%d" % (flag, cap + 1)])
+        assert exc.value.code == 2
+        assert "%s must be <= %d" % (flag, cap) in capsys.readouterr().err
+
+    def test_size_caps_leave_room(self, monkeypatch):
+        # each cap is at least ten times the largest value the README, the
+        # output pins and the benchmark's workloads pass
+        spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        argvs = [job.argv for w in workloads.GENERATORS for seed in (1, 2, 3) for job in workloads.build(w, seed)]
+        argvs += [cmd.split() for cmd in (*PINNED_CUBIC_OUTPUT, *PINNED_EXACT_OUTPUT)]
+        argvs += [line.split() for line in (ROOT / "README.md").read_text().splitlines()
+                  if line.startswith("intervalzeta ")]
+        used = {flag: 0 for flag in SIZE_CAPS}
+        for argv in argvs:
+            for flag, value in zip(argv, argv[1:]):
+                if flag in used and re.fullmatch(r"\d+", value):
+                    used[flag] = max(used[flag], int(value))
+        assert used["--order"] == 192 and used["--n"] == 12
+        assert all(SIZE_CAPS[flag] >= 10 * used[flag] for flag in SIZE_CAPS)
+
     @pytest.mark.parametrize("name", sorted(OWN))
     def test_lone_dashes_as_a_value_is_usage_error(self, capsys, name):
         # argparse of Python 3.11 stores [] for --flag=-- without calling the flag's type
@@ -402,7 +448,7 @@ def _int_lists(lo, hi, max_size):
 
 _RATIONALS = st.fractions(-1, 3, max_denominator=200).map(str)
 # small values for every flag the surface reads, and some malformed tokens;
-# the size flags take any integer, and a large one runs for minutes
+# a size flag at or below its cap (SIZE_CAPS) can still run for hours
 FUZZ_VALUES = {
     "--rho": st.one_of(st.sampled_from(["0,2,0", "0,2,3,1,0", "5,2,3,4,2,0", "7,3,4,5,6,3,2,0"]),
                        _int_lists(-1, 7, 8)),

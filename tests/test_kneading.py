@@ -1,12 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intervalzeta import kneading
 from intervalzeta.combinatorics import Combinatorics, PLModel, generate_vu, is_pm, pl_model, turning_points
 from intervalzeta.kneading import (
-    _column_determinants,
+    KneadingError,
+    _rational_determinant,
     _sided_lap,
     kneading_determinant,
     kneading_matrix,
@@ -17,9 +20,9 @@ from intervalzeta.kneading import (
     unimodal_rational_form,
     vu_structure_check,
 )
-from intervalzeta.series import RationalFn, rf_to_series
+from intervalzeta.series import RationalFn, TruncSeries, rf_to_series
 
-from tests_support import unimodal_eps
+from tests_support import _column_determinants, unimodal_eps
 
 RHO0 = (0, 2, 3, 1, 0)
 FULL_TENT = (0, 2, 0)
@@ -138,6 +141,54 @@ class TestKneadingMatrix:
         kd = kneading_matrix(model)
         assert kd.periods == ((1, 4),) * (nu - 1) + ((1, 3),)
         assert kd.order == sum(p + k for p, k in kd.periods)
+
+
+class TestRowIdentity:
+    """sum_j nu_ij(t) (1 - s_j t) = 0 for every row: what makes every
+    deletable column give the same determinant."""
+
+    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_satisfies_the_identity(self, rho, data):
+        model = pl_model(rho)
+        kd = kneading_matrix(model, data.draw(st.integers(0, 3 * kneading_matrix(model).order)))
+        one_minus_st = [TruncSeries.from_coeffs((1, -s), kd.order) for s in kd.shape]
+        for row in kd.matrix:
+            total = sum((e * f for e, f in zip(row, one_minus_st)), TruncSeries.zero(kd.order))
+            assert not any(total.coeffs)
+
+    # hand-built corruptions of the full tent's data: the one row is
+    # (-1 + 2t^2 + 2t^3, 1 - 2t) through N = 3, preperiod 2, period 1, shape
+    # (1, -1); each reaches one KneadingError
+
+    def test_row_breaking_the_identity(self):
+        kd = kneading_matrix(pl_model(FULL_TENT))
+        (left, right), = kd.matrix
+        bad = TruncSeries(kd.order, right.coeffs[:2] + (right.coeffs[2] + 1,) + right.coeffs[3:])
+        with pytest.raises(KneadingError, match="row 1 breaks the Milnor-Thurston identity"):
+            _rational_determinant(replace(kd, matrix=((left, bad),)))
+
+    def test_leading_coefficient_not_one(self):
+        # a doubled row keeps the identity and doubles D
+        kd = kneading_matrix(pl_model(FULL_TENT))
+        doubled = tuple(tuple(2 * e for e in row) for row in kd.matrix)
+        with pytest.raises(KneadingError, match="leading coefficient 1"):
+            _rational_determinant(replace(kd, matrix=doubled))
+
+    def test_broken_degree_bound(self):
+        # a wrong period keeps the identity checked through t^(P+L) but makes
+        # D (1 - t^2) = 1 - t - 2t^2 too long for N - m - 1 = 1
+        kd = kneading_matrix(pl_model(FULL_TENT))
+        assert kd.periods == ((2, 1),) and kd.order == 3
+        with pytest.raises(KneadingError, match="exceeds its degree bound"):
+            _rational_determinant(replace(kd, periods=((1, 2),)))
+
+    def test_one_matrix_det_per_determinant(self, monkeypatch):
+        calls = []
+        det = kneading.series_matrix_det
+        monkeypatch.setattr(kneading, "series_matrix_det", lambda rows: calls.append(len(rows)) or det(rows))
+        kneading_rational(pl_model(generate_vu(5)))
+        assert calls == [5]
 
 
 class TestKneadingDeterminant:

@@ -1,11 +1,13 @@
 """Frozen expected values shared by the module tests and the acceptance suite,
 plain-Fraction reference implementations of the integer series kernels, and
-the unimodal sign sequence the kneading tests compare against."""
+the unimodal sign sequence and per-column determinants the kneading tests
+compare against."""
 
 from fractions import Fraction
 
 from intervalzeta.combinatorics import PLModel, turning_points
-from intervalzeta.series import TruncSeries, poly_add, poly_scale, poly_trim
+from intervalzeta.kneading import KneadingData
+from intervalzeta.series import TruncSeries, poly_add, poly_trim, series_matrix_det
 
 Q = Fraction
 
@@ -56,6 +58,20 @@ def unimodal_eps(model: PLModel, order: int) -> list[int]:
     return out
 
 
+def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
+    """The determinant through t^order from each deletable column."""
+    m = kd.modality
+    order = kd.order
+    out = []
+    for col in range(m + 1):
+        minor = [[kd.matrix[i][j] for j in range(m + 1) if j != col] for i in range(m)]
+        det = series_matrix_det(minor)
+        sign = 1 if col % 2 == 0 else -1
+        denom = TruncSeries.from_coeffs((1, -kd.shape[col]), order)
+        out.append((sign * det) * denom.recip())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Fraction references for the integer kernels of intervalzeta.series: the
 # coefficient-by-coefficient rational loops those kernels replaced, kept as
@@ -66,6 +82,11 @@ def unimodal_eps(model: PLModel, order: int) -> list[int]:
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def poly_scale(p, c) -> tuple[Fraction, ...]:
+    c = _frac(c)
+    return poly_trim([_frac(a) * c for a in p])
 
 
 def poly_mul(p, q) -> tuple[Fraction, ...]:
