@@ -76,14 +76,15 @@ def _size(flag: str, least: int | None = None):
     return parse
 
 
-def _tol(text: str) -> float:
+def _tol(text: str) -> Fraction:
+    """The exact decimal written, out of range where its float is 0 or inf."""
     try:
         tol = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("not a number: %r" % text) from exc
     if not 0 < tol < math.inf:  # also false for nan
         raise argparse.ArgumentTypeError("--tol must be > 0 and finite")
-    return tol
+    return Fraction(text)
 
 
 def _matrix(text: str) -> subshift.AdjMatrix:
@@ -264,9 +265,8 @@ def _cubic_counts(s: Fraction, n_max: int) -> tuple[float, float, list[int]]:
 
 
 def _cmd_cubic_report(args):
-    if args.nmax < 1:
-        raise DomainFailure("nmax must be >= 1")
-    cubicfam.check_depth(args.depth)
+    cubicfam.check_size("nmax", args.nmax)
+    cubicfam.check_size("depth", args.depth)
     s = args.s
     poly, par = cubicfam.cubic_family(s)
     alpha, beta, counts = _cubic_counts(s, args.nmax)
@@ -346,8 +346,7 @@ def _cmd_fib_find_lambda(args):
 
 def _cmd_fib_check(args):
     kmax = args.kmax
-    if kmax < 0:
-        raise DomainFailure("kmax must be >= 0")
+    fibmap.check_kmax(kmax)
     family = fibmap.interval_families(args.lam, kmax + 2)
     structure = fibmap.verify_structure(family, kmax)
     diam = fibmap.diameter_ratios(family, kmax)
@@ -402,7 +401,7 @@ _NU = _required("--nu", _size("--nu"))
 _N = _required("--n", _size("--n"))
 _ORDER = ("--order", {"type": _size("--order", least=8), "default": 64,
                       "help": "series truncation order (8..%d)" % SIZE_CAPS["--order"]})
-_TOL = ("--tol", {"type": _tol, "default": 1e-12, "help": "numeric tolerance (> 0)"})
+_TOL = ("--tol", {"type": _tol, "default": Fraction(1, 10**12), "help": "numeric tolerance (> 0)"})
 _DEPTH = ("--depth", {"type": int, "default": 6, "help": "depth for word/piece constructions"})
 _FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"})
 

@@ -78,11 +78,6 @@ class PLModel:
         j = int(x)
         return (self.rho[j + 1] - self.rho[j]) * (x - j) + self.rho[j]
 
-    def iterate(self, x, k: int):
-        for _ in range(k):
-            x = self(x)
-        return x
-
 
 def pl_model(rho) -> PLModel:
     return PLModel(_as_comb(rho))

@@ -187,13 +187,7 @@ def _kneading_cmp(lam: Fraction, target: Sequence[int], frac_bits: int) -> int:
     return 0
 
 
-def _exact_tol(tol: Fraction | float) -> Fraction:
-    """A float tol read as the decimal it was most likely written as
-    (1e-10 -> 1/10**10).  Below 1e-15 that reading can round to 0 or up to
-    1e-15, so there the float's exact binary value is used."""
-    if isinstance(tol, Fraction):
-        return tol
-    return Q(tol).limit_denominator(10**15) if tol >= 1e-15 else Q(tol)
+_MAX_BISECTIONS = 2000  # find_fib_lambda reaches any tol above 2^-2000
 
 
 class BracketError(RuntimeError):
@@ -211,7 +205,7 @@ class LambdaResult:
         return float(self.lam)
 
 
-def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10), max_iter: int = 2000) -> LambdaResult:
+def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10)) -> LambdaResult:
     """Bisect the tent slope whose kneading prefix is the Fibonacci target.
 
     Tent kneading is monotone in the slope (a standard fact for the tent
@@ -225,10 +219,13 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10), max_iter: 
     orbit with S(depth) + 64 fraction bits, and only a symbol whose
     enclosure touches c is decided on the exact orbit, so the result is the
     one exact bisection gives.
+
+    A float tol is read as its exact binary value: no power of two, which
+    the bracket width is, lies strictly between a decimal and its float.
     """
     if depth < 1 or depth > 20:
         raise ValueError("depth must be in 1..20")
-    tol = _exact_tol(tol)
+    tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     target = _target_addresses(depth)
@@ -238,7 +235,7 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10), max_iter: 
     c_hi = _kneading_cmp(hi, target, frac_bits)
     if c_hi < 0:
         raise BracketError("target exceeds the full tent kneading")
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if c_hi == 0 and hi - lo <= tol:
             lam = hi
             if not orbit_order_holds(lam, depth):
@@ -331,6 +328,20 @@ class IntervalFamily:
     M: dict[int, list[LabeledInterval]]
 
 
+# the deepest structure `fib check` verifies: its family is built to k_max + 2,
+# and at the depth-12 slope (366-bit p/q) k_max = 8, 9, 10 took 4.5 s, 21 s,
+# and 79 s with 129 MB
+MAX_KMAX = 9
+
+
+def check_kmax(k_max: int) -> None:
+    """Refuse a structure depth outside 0..MAX_KMAX, before any orbit is built."""
+    if k_max < 0:
+        raise ValueError("kmax must be >= 0")
+    if k_max > MAX_KMAX:
+        raise ValueError("kmax capped at %d" % MAX_KMAX)
+
+
 def interval_families(lam: Fraction, k_max: int) -> IntervalFamily:
     """Build I_k, J_k, D_k and the S(k)-fold unions M_k with endpoint labels.
 
@@ -378,7 +389,7 @@ class StructureReport:
     checks: dict[str, bool]
 
 
-def verify_structure(family: IntervalFamily, k_max: int | None = None) -> StructureReport:
+def verify_structure(family: IntervalFamily, k_max: int) -> StructureReport:
     """Exact checks of the nesting and disjointness structure.
 
     Verifies J_{k'} in D_{k'-1} in I_k with J_k, J_{k'} disjoint; nesting
@@ -386,7 +397,6 @@ def verify_structure(family: IntervalFamily, k_max: int | None = None) -> Struct
     the iterates on [c_1, c_S(k)+1]; and that the pieces of M_{k+1} meeting
     I_k are exactly I_{k+1} and J_{k+1}.  Failures are reported, not thrown.
     """
-    k_max = family.k_max if k_max is None else k_max
     if k_max > family.k_max:
         raise ValueError("family was not built this deep")
     orb = family.orbit

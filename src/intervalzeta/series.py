@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -63,19 +64,8 @@ def poly_trim(p: Sequence) -> tuple[Fraction, ...]:
     return tuple(p)
 
 
-def poly_add(p, q) -> tuple[Fraction, ...]:
-    n = max(len(p), len(q))
-    return poly_trim(
-        [(_frac(p[i]) if i < len(p) else Q(0)) + (_frac(q[i]) if i < len(q) else Q(0)) for i in range(n)]
-    )
-
-
-def poly_neg(p) -> tuple[Fraction, ...]:
-    return tuple(-_frac(c) for c in p)
-
-
 def poly_sub(p, q) -> tuple[Fraction, ...]:
-    return poly_add(p, poly_neg(q))
+    return poly_trim([_frac(a) - _frac(b) for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def poly_mul(p, q) -> tuple[Fraction, ...]:
@@ -145,12 +135,6 @@ def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
     return [x * lc**i // lc**e for i, x in enumerate(c)]
 
 
-def poly_gcd(p, q) -> tuple[Fraction, ...]:
-    """Monic gcd, by the primitive pseudo-remainder sequence on ints."""
-    a = _gcd_ints(_scaled(p)[0], _scaled(q)[0])
-    return tuple(Q(x, a[-1]) for x in a)
-
-
 def poly_compose(p, q) -> tuple[Fraction, ...]:
     """p(q(t)) by Horner on integer polynomials: with p = a/da and q = b/db of
     degree D in p, p(q) = sum_i a_i b^i db^(D-i) / (da db^D)."""
@@ -195,53 +179,14 @@ class TruncSeries:
         cs += [Q(0)] * (order + 1 - len(cs))
         return cls(order, tuple(cs))
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls.from_coeffs((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls.from_coeffs((1,), order)
-
-    @classmethod
-    def var(cls, order: int) -> "TruncSeries":
-        return cls.from_coeffs((0, 1), order)
-
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(order, self.coeffs[: order + 1])
-
-    def _common(self, other: "TruncSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] += _frac(other)
-            return TruncSeries(self.order, tuple(cs))
-        n = self._common(other)
-        return TruncSeries(n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-_frac(other))
-        n = self._common(other)
-        return TruncSeries(n, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             return TruncSeries(self.order, tuple(a * c for a in self.coeffs))
-        n = self._common(other)
+        n = min(self.order, other.order)
         a, da = _scaled(self.coeffs[: n + 1])
         b, db = _scaled(other.coeffs[: n + 1])
         d = da * db
@@ -280,22 +225,8 @@ class TruncSeries:
             scale *= (n + 1) * d
         return TruncSeries(self.order, tuple(e))
 
-    def log(self) -> "TruncSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        u = self.coeffs
-        l = [Q(0)]
-        for n in range(1, self.order + 1):
-            s = sum((k * l[k] * u[n - k] for k in range(1, n)), Q(0))
-            l.append(u[n] - s / n)
-        return TruncSeries(self.order, tuple(l))
-
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    def __str__(self):
-        return "TruncSeries(order=%d, %s)" % (self.order, ", ".join(str(c) for c in self.coeffs))
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -340,7 +271,7 @@ def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
         raise ValueError("empty matrix")
     order = min(e.order for r in rows for e in r)
     if m == 1:
-        return rows[0][0].truncate(order)
+        return rows[0][0]
     d = lcm(*(c.denominator for r in rows for e in r for c in e.coeffs[: order + 1]))
     entries = [[[c.numerator * (d // c.denominator) for c in e.coeffs[: order + 1]] for e in r] for r in rows]
 

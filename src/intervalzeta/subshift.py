@@ -55,9 +55,6 @@ class AdjMatrix:
             [[sum(self.rows[i][l] * other.rows[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
         )
 
-    def identity(self) -> "AdjMatrix":
-        return AdjMatrix([[1 if i == j else 0 for j in range(self.k)] for i in range(self.k)])
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.k))
 

@@ -193,6 +193,25 @@ class TestCubicAndFib:
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "kmax must be >= 0"}
 
+    def test_fib_check_kmax_above_cap(self, capsys, monkeypatch):
+        # refused before the orbit is built, which at kmax 90 would need
+        # S(94), about 5e19, points
+        monkeypatch.setattr(fibmap, "interval_families", None)
+        code, out = run_cli(capsys, "fib", "check", "--lambda", "111/64", "--kmax", "90")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "kmax capped at 9"}
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("cubic", "count", "--s", "6/5", "--n", "120"), "n capped at 16"),
+        (("cubic", "report", "--s", "6/5", "--nmax", "60"), "nmax capped at 16"),
+    ], ids=["count", "report"])
+    def test_cubic_period_above_cap(self, capsys, monkeypatch, argv, reason):
+        monkeypatch.setattr(cubicfam, "cubic_family", None)
+        monkeypatch.setattr(cubicfam, "filled_julia_endpoints", None)
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": reason}
+
     @pytest.mark.parametrize("nmax", ["0", "-1"])
     def test_cubic_report_nonpositive_nmax(self, capsys, monkeypatch, nmax):
         # refused before any numeric work
@@ -231,7 +250,7 @@ class TestCubicAndFib:
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CUBIC_OUTPUT[argv]
 
     def test_fib_find_lambda_tiny_tol(self, capsys):
-        # 1e-20 is below what a denominator of at most 10**15 can express
+        # --tol is read as the exact decimal written, however small
         _, default = run_cli(capsys, "fib", "find-lambda", "--depth", "12")
         code, out = run_cli(capsys, "fib", "find-lambda", "--depth", "12", "--tol", "1e-20")
         assert code == 0
@@ -323,7 +342,7 @@ class TestContract:
 
 REQUIRED = "required"
 COMMON = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS, "--out": None}
-ORDER, TOL, DEPTH, FORMAT = {"--order": 64}, {"--tol": 1e-12}, {"--depth": 6}, {"--format": "json"}
+ORDER, TOL, DEPTH, FORMAT = {"--order": 64}, {"--tol": Fraction(1, 10**12)}, {"--depth": 6}, {"--format": "json"}
 # each subcommand's own flags: their defaults, or REQUIRED
 OWN = {
     "comb validate": {"--rho": REQUIRED},

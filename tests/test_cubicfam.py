@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intervalzeta import cubicfam
 from intervalzeta.cubicfam import (
     BranchSystem,
     Interval,
@@ -28,6 +29,7 @@ from intervalzeta.cubicfam import (
     two_cycle_polynomial,
     verify_critical_orbit,
 )
+from intervalzeta.series import poly_mul
 from intervalzeta.subshift import fib_language, vee_map
 from intervalzeta.zeta import counts_from_zeta, zeta_vu_closed_form
 
@@ -161,9 +163,9 @@ class TestEndpoints:
     def test_two_cycle_polynomial_is_exact_quotient(self):
         poly, _ = cubic_family(Q(6, 5))
         sextic = two_cycle_polynomial(Q(6, 5))
-        assert sextic.degree == 6
-        recomposed = sextic * (poly - RealPoly((0, 1)))
-        assert recomposed.coeffs == (poly.compose(poly) - RealPoly((0, 1))).coeffs
+        assert len(sextic.coeffs) == 7
+        recomposed = poly_mul(sextic.coeffs, (poly - RealPoly((0, 1))).coeffs)
+        assert recomposed == (poly.compose(poly) - RealPoly((0, 1))).coeffs
 
 
 class TestCounting:
@@ -193,6 +195,13 @@ class TestCounting:
             count_periodic(1, 0)
         with pytest.raises(ValueError):
             periodic_counts(1, *filled_julia_endpoints(1), 0)
+
+    def test_period_above_cap_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(cubicfam, "_params", None)
+        with pytest.raises(ValueError, match="n capped at 16"):
+            count_periodic(Q(6, 5), 17)
+        with pytest.raises(ValueError, match="nmax capped at 16"):
+            periodic_counts(Q(6, 5), -1.0, 1.0, 60)
 
     @pytest.mark.parametrize("s", [Q(1), Q(6, 5), Q(137, 100)])
     def test_one_tree_equals_one_count_per_n(self, s):

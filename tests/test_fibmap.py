@@ -159,10 +159,11 @@ class TestFindLambda:
         with pytest.raises(ValueError):
             find_fib_lambda(0)
 
-    def test_exhausted_iteration_budget_errors(self):
+    def test_exhausted_iteration_budget_errors(self, monkeypatch):
         # three halvings of [1, 2] cannot reach the depth-12 window
+        monkeypatch.setattr(fibmap, "_MAX_BISECTIONS", 3)
         with pytest.raises(BracketError):
-            find_fib_lambda(12, Q(1, 10), max_iter=3)
+            find_fib_lambda(12, Q(1, 10))
 
     def test_exact_output_is_pinned(self):
         for depth in range(1, 13):
@@ -179,6 +180,14 @@ class TestFindLambda:
             assert res.bracket[1] - res.bracket[0] <= Q(tol)
             # the same halvings as at the default tol, continued
             assert Q(PINNED_LAMBDAS[3][1]) <= res.bracket[0] < res.bracket[1] <= Q(PINNED_LAMBDAS[3][2])
+
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-5", "3e-8", "1e-10", "1e-12", "1e-15", "7e-16", "1e-20",
+                                     "1e-30", "7e-40"])
+    def test_float_tol_stops_where_its_decimal_does(self, tol):
+        # the bracket width is a power of two, and none lies strictly between
+        # a decimal and its nearest double
+        for depth in range(1, 9):
+            assert find_fib_lambda(depth, float(tol)) == find_fib_lambda(depth, Q(tol)), depth
 
     def test_bisection_needs_no_exact_orbit(self, exact_builds):
         for depth in range(2, 11):
@@ -274,6 +283,14 @@ class TestIntervalFamilies:
     def test_structure_fails_at_generic_slope(self):
         family = interval_families(Q(111, 64), 6)
         assert not verify_structure(family, 6).ok
+
+    def test_kmax_outside_range_is_refused(self):
+        fibmap.check_kmax(0)
+        fibmap.check_kmax(fibmap.MAX_KMAX)
+        with pytest.raises(ValueError, match="kmax must be >= 0"):
+            fibmap.check_kmax(-1)
+        with pytest.raises(ValueError, match="kmax capped at 9"):
+            fibmap.check_kmax(fibmap.MAX_KMAX + 1)
 
 
 class TestDiameterRatios:

@@ -28,6 +28,11 @@ RHO0 = (0, 2, 3, 1, 0)
 FULL_TENT = (0, 2, 0)
 
 
+def sub(a, b):
+    """The coefficients of a - b, two series of one order."""
+    return tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+
+
 def reflect(rho):
     n = len(rho) - 1
     return tuple(n - rho[n - i] for i in range(n + 1))
@@ -107,8 +112,8 @@ class TestThetaSeries:
         model = pl_model(RHO0)
         plus = theta_series(model, 1, +1, 8)
         minus = theta_series(model, 1, -1, 8)
-        nu_right = plus[1] - minus[1]
-        nu_left = plus[0] - minus[0]
+        nu_right = sub(plus[1], minus[1])
+        nu_left = sub(plus[0], minus[0])
         assert nu_right[0] == 1 and nu_left[0] == -1
 
 
@@ -123,7 +128,7 @@ class TestKneadingMatrix:
         for i, row in enumerate(kd.matrix, start=1):
             plus = theta_series(model, i, +1, order)
             minus = theta_series(model, i, -1, order)
-            assert [e.coeffs for e in row] == [(p - q).coeffs for p, q in zip(plus, minus)]
+            assert [e.coeffs for e in row] == [sub(p, q) for p, q in zip(plus, minus)]
 
     @pytest.mark.parametrize("nu, evaluations", [(3, 14), (5, 24)])
     def test_one_walk_per_turning_point(self, nu, evaluations, monkeypatch):
@@ -154,8 +159,8 @@ class TestRowIdentity:
         kd = kneading_matrix(model, data.draw(st.integers(0, 3 * kneading_matrix(model).order)))
         one_minus_st = [TruncSeries.from_coeffs((1, -s), kd.order) for s in kd.shape]
         for row in kd.matrix:
-            total = sum((e * f for e, f in zip(row, one_minus_st)), TruncSeries.zero(kd.order))
-            assert not any(total.coeffs)
+            products = [e * f for e, f in zip(row, one_minus_st)]
+            assert not any(map(sum, zip(*(p.coeffs for p in products))))
 
     # hand-built corruptions of the full tent's data: the one row is
     # (-1 + 2t^2 + 2t^3, 1 - 2t) through N = 3, preperiod 2, period 1, shape

@@ -14,7 +14,6 @@ from intervalzeta.series import (
     detect_eventual_periodicity,
     poly_compose,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_trim,
     rational_from_eventually_periodic,
@@ -30,7 +29,7 @@ def S(coeffs, order):
 class TestArithmetic:
     def test_one_is_multiplicative_unit(self):
         s = S([1, 2, 3], 5)
-        assert (TruncSeries.one(5) * s).coeffs == s.coeffs
+        assert (S([1], 5) * s).coeffs == s.coeffs
 
     def test_recip_of_one_minus_t_is_geometric(self):
         s = S([1, -1], 4)
@@ -52,30 +51,16 @@ class TestArithmetic:
 
 class TestExpLog:
     def test_exp_of_zero(self):
-        assert TruncSeries.zero(6).exp().coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert S([], 6).exp().coeffs == (1, 0, 0, 0, 0, 0, 0)
 
     def test_exp_of_harmonic_series_is_geometric(self):
         # exp(sum t^n / n) = exp(-log(1 - t)) = 1/(1 - t)
         s = TruncSeries(5, (Q(0), Q(1), Q(1, 2), Q(1, 3), Q(1, 4), Q(1, 5)))
         assert s.exp().coeffs == (1, 1, 1, 1, 1, 1)
 
-    def test_log_of_fibonacci_generating_function(self):
-        # log(1/(1-t-t^2)) has coefficients (l_{n-1} + l_{n+1})/n
-        fib = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
-        z = rf_to_series(RationalFn((1,), (1, -1, -1)), 8)
-        expected = tuple([Q(0)] + [Q(fib[n - 1] + fib[n + 1], n) for n in range(1, 9)])
-        assert z.log().coeffs == expected
-
-    def test_exp_log_preconditions(self):
+    def test_exp_precondition(self):
         with pytest.raises(ValueError):
             S([1, 1], 3).exp()
-        with pytest.raises(ValueError):
-            S([2, 1], 3).log()
-
-    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=6))
-    def test_exp_log_mutually_inverse(self, tail):
-        s = TruncSeries.from_coeffs([0] + tail, 8)
-        assert s.exp().log().coeffs == s.coeffs
 
 
 class TestRationalFn:
@@ -186,11 +171,11 @@ class TestMatrixDet:
         assert series_matrix_det([[s]]).coeffs == s.coeffs
 
     def test_identity(self):
-        one, zero = TruncSeries.one(4), TruncSeries.zero(4)
+        one, zero = S([1], 4), S([], 4)
         assert series_matrix_det([[one, zero], [zero, one]]).coeffs == one.coeffs
 
     def test_two_by_two(self):
-        one, t = TruncSeries.one(4), TruncSeries.var(4)
+        one, t = S([1], 4), S([0, 1], 4)
         det = series_matrix_det([[one, t], [t, one]])
         assert det.coeffs == (1, 0, -1, 0, 0)
 
@@ -200,19 +185,23 @@ small_series = st.lists(st.integers(-3, 3), min_size=1, max_size=9).map(
 )
 
 
+def add(a, b):
+    return tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+
+
 class TestRingAxioms:
     @given(small_series, small_series, small_series)
     @settings(max_examples=50)
     def test_mul_associative_and_distributive(self, a, b, c):
         assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
-        assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
+        assert (S(add(a, b), 8) * c).coeffs == add(a * c, b * c)
 
     @given(small_series)
     @settings(max_examples=30)
     def test_recip_is_inverse_when_defined(self, a):
         if a[0] == 0:
             return
-        assert (a * a.recip()).coeffs == TruncSeries.one(8).coeffs
+        assert (a * a.recip()).coeffs == S([1], 8).coeffs
 
 
 # products and reciprocals run on integers scaled over a common denominator;
@@ -234,7 +223,7 @@ def naive_det(rows):
     acc = [Q(0)] * (order + 1)
     for perm in permutations(range(m)):
         inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
-        term = TruncSeries.one(order)
+        term = S([1], order)
         for i, j in enumerate(perm):
             term = TruncSeries(order, naive_product(term, rows[i][j]))
         sign = -1 if inversions % 2 else 1
@@ -308,17 +297,10 @@ class TestIntegerKernelsMatchFractionReference:
         with pytest.raises(ZeroDivisionError):
             poly_divmod((1, 2), (0, Q(0)))
 
-    @given(polys, polys, polys)
-    @settings(max_examples=60)
-    def test_poly_gcd(self, g, u, v):
-        p, q = ref.poly_mul(g, u), ref.poly_mul(g, v)
-        assert poly_gcd(p, q) == ref.poly_gcd(p, q)
-        assert poly_gcd(u, v) == ref.poly_gcd(u, v)
-
-    def test_poly_gcd_keeps_coefficients_primitive(self, monkeypatch):
+    def test_reduction_keeps_coefficients_primitive(self, monkeypatch):
         # Knuth's example (TAOCP 4.6.1): the plain pseudo-remainder sequence
         # of these coprime polynomials reaches a 35-digit coefficient, the
-        # primitive one stays below 6200
+        # primitive one that reduces a RationalFn stays below 6200
         a = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
         b = (21, -9, -4, 0, 5, 0, 3)
         seen = []
@@ -329,7 +311,8 @@ class TestIntegerKernelsMatchFractionReference:
             return divide(x, y)
 
         monkeypatch.setattr(series, "_pseudo_divmod", recording)
-        assert poly_gcd(a, b) == (1,)
+        rf = RationalFn(a, b)
+        assert (rf.num, rf.den) == (tuple(Q(x, 21) for x in a), tuple(Q(x, 21) for x in b))
         assert max(seen) < 2**13
 
     @given(polys, polys)

@@ -49,9 +49,6 @@ class TestAdjacency:
     def test_trace_of_first_power(self):
         assert fib_adjacency().trace() == 1
 
-    def test_trace_of_identity(self):
-        assert fib_adjacency().identity().trace() == 2
-
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             AdjMatrix([[0, 1]])

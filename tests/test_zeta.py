@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalzeta.series import RationalFn, TruncSeries, poly_mul, rf_to_series
+import tests_support as ref
+from intervalzeta.series import RationalFn, poly_mul, rf_to_series
 from intervalzeta.subshift import fib_adjacency, sft_periodic_counts
 from intervalzeta.zeta import (
     NonIntegralCountError,
@@ -18,7 +19,7 @@ ONE = RationalFn.from_poly((1,))
 
 class TestZetaFromCounts:
     def test_no_periodic_points(self):
-        assert zeta_from_counts([0] * 8, 8).coeffs == TruncSeries.one(8).coeffs
+        assert zeta_from_counts([0] * 8, 8).coeffs == (1,) + (0,) * 8
 
     def test_single_fixed_point(self):
         assert zeta_from_counts([1] * 8, 8).coeffs == (1,) * 9
@@ -53,7 +54,7 @@ class TestCountsFromZeta:
     def test_round_trip(self, counts):
         z = zeta_from_counts(counts, 10)
         # recover by log derivative of the series: n * [t^n] log zeta
-        logz = z.log()
+        logz = ref.log(z)
         recovered = [int(logz[n] * n) for n in range(1, 11)]
         assert recovered == counts
 

@@ -4,10 +4,11 @@ the unimodal sign sequence and per-column determinants the kneading tests
 compare against."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from intervalzeta.combinatorics import PLModel, turning_points
 from intervalzeta.kneading import KneadingData
-from intervalzeta.series import TruncSeries, poly_add, poly_trim, series_matrix_det
+from intervalzeta.series import TruncSeries, poly_trim, series_matrix_det
 
 Q = Fraction
 
@@ -76,12 +77,17 @@ def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
 # Fraction references for the integer kernels of intervalzeta.series: the
 # coefficient-by-coefficient rational loops those kernels replaced, kept as
 # they were (exp as a function of the series, the normalization of
-# RationalFn.__post_init__ as a function of its fields)
+# RationalFn.__post_init__ as a function of its fields), and the series log
+# the zeta tests invert exp with
 # ---------------------------------------------------------------------------
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def poly_add(p, q) -> tuple[Fraction, ...]:
+    return poly_trim([_frac(a) + _frac(b) for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def poly_scale(p, c) -> tuple[Fraction, ...]:
@@ -166,6 +172,19 @@ def exp(series: TruncSeries) -> TruncSeries:
         s = sum(((k + 1) * a[k + 1] * e[n - k] for k in range(n + 1)), Q(0))
         e.append(s / (n + 1))
     return TruncSeries(series.order, tuple(e))
+
+
+def log(series: TruncSeries) -> TruncSeries:
+    """log of a series with constant term 1."""
+    if series.coeffs[0] != 1:
+        raise ValueError("log requires constant term 1")
+    u = series.coeffs
+    out = [Q(0)]
+    for n in range(1, series.order + 1):
+        # n l_n = n u_n - sum_{0<k<n} k l_k u_{n-k}
+        s = sum((k * out[k] * u[n - k] for k in range(1, n)), Q(0))
+        out.append(u[n] - s / n)
+    return TruncSeries(series.order, tuple(out))
 
 
 def rf_to_series(rf, order: int) -> TruncSeries:
