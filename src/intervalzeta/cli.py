@@ -19,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -77,14 +76,24 @@ def _size(flag: str, least: int | None = None):
 
 
 def _tol(text: str) -> Fraction:
-    """The exact decimal written, out of range where its float is 0 or inf."""
+    """The exact decimal written: finite, > 0, and no finer than the
+    narrowest bracket `fib find-lambda` reaches, 2^-2000.  A tol of 1 or more
+    is read as 1, which the starting bracket [1, 2] already meets."""
     try:
-        tol = float(text)
+        float(text)  # the syntax accepted is a float's
     except ValueError as exc:
         raise argparse.ArgumentTypeError("not a number: %r" % text) from exc
-    if not 0 < tol < math.inf:  # also false for nan
+    tol = Decimal(text)
+    if not tol.is_finite() or tol <= 0:
         raise argparse.ArgumentTypeError("--tol must be > 0 and finite")
-    return Fraction(text)
+    if tol >= 1:
+        return Fraction(1)
+    # a tol below 10^-bits is below 2^-bits, and is refused before its
+    # exact value, 10^|exponent| in size, is built
+    bits = fibmap._MAX_BISECTIONS
+    if tol.adjusted() < -bits or Fraction(tol) < Fraction(1, 2**bits):
+        raise argparse.ArgumentTypeError("--tol must be >= 2^-%d, the narrowest bracket find-lambda reaches" % bits)
+    return Fraction(tol)
 
 
 def _matrix(text: str) -> subshift.AdjMatrix:

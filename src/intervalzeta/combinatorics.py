@@ -9,24 +9,25 @@ family generator, and exact periodic-orbit enumeration on PL models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from ._value import Value
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class Combinatorics:
-    entries: tuple[int, ...]
+class Combinatorics(Value):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries) - 1
+    def __init__(self, entries: tuple[int, ...]):
+        n = len(entries) - 1
         if n < 1:
             raise ValueError("need at least two entries")
-        for i, e in enumerate(self.entries):
+        for i, e in enumerate(entries):
             if not (0 <= e <= n):
                 raise ValueError("entry %d at position %d is out of {0..%d}" % (e, i, n))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -48,15 +49,17 @@ def _as_comb(rho) -> Combinatorics:
     return Combinatorics(tuple(rho))
 
 
-@dataclass(frozen=True)
-class PLModel:
+class PLModel(Value):
     """Connect-the-dots model of a combinatorics vector on [0, n].
 
     Affine with integer slope rho[j+1] - rho[j] on each [j, j+1]; exact on
     rational inputs, and maps [0, n] into itself.
     """
 
-    rho: Combinatorics
+    __slots__ = ("rho",)
+
+    def __init__(self, rho: Combinatorics):
+        object.__setattr__(self, "rho", rho)
 
     @property
     def n(self) -> int:
@@ -83,8 +86,7 @@ def pl_model(rho) -> PLModel:
     return PLModel(_as_comb(rho))
 
 
-@dataclass(frozen=True)
-class PMCheck:
+class PMCheck(NamedTuple):
     ok: bool
     witness: int | None = None  # first index with rho[i] == rho[i+1]
 
@@ -115,8 +117,7 @@ def turning_points(rho) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     preperiod: int
     cycle: tuple
 
@@ -154,8 +155,7 @@ def orbit_set(rho, i: int) -> frozenset[int]:
     return frozenset(_index_path(rho, i)[0])
 
 
-@dataclass(frozen=True)
-class OwnCombinatoricsCheck:
+class OwnCombinatoricsCheck(NamedTuple):
     """Outcome of the own-combinatorics test.
 
     On failure, ``induced`` is the re-marked combinatorics (marked set =
@@ -248,8 +248,7 @@ def is_virtually_unimodal(rho) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     """Fatou/Julia split of the marked points: Fatou means the orbit meets a
     turning point (every turning point is Fatou through its own orbit)."""
 
@@ -269,8 +268,7 @@ def classify_points(rho) -> PointClass:
     return PointClass(frozenset(fatou), frozenset(range(rho.n + 1)) - frozenset(fatou))
 
 
-@dataclass(frozen=True)
-class ExpandingCheck:
+class ExpandingCheck(NamedTuple):
     ok: bool
     witnesses: dict[int, int]  # Julia edge j -> first m with gap > 1
     cycling_edge: int | None = None
@@ -337,8 +335,7 @@ def generate_vu(nu: int) -> Combinatorics:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegenerateFamily:
+class DegenerateFamily(NamedTuple):
     """A lap word along which the p-th iterate is the identity: a whole
     interval of fixed points rather than isolated ones."""
 
@@ -346,8 +343,7 @@ class DegenerateFamily:
     interval: tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class PeriodicOrbits:
+class PeriodicOrbits(NamedTuple):
     period: int
     orbits: tuple[OrbitInfo, ...]
     degenerate: tuple[DegenerateFamily, ...]

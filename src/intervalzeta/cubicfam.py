@@ -9,11 +9,11 @@ branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
+from ._value import Value
 from .series import Q, poly_compose, poly_divmod, poly_mul, poly_sub, poly_trim
 from .subshift import fib_language, vee_map
 
@@ -22,16 +22,13 @@ class BranchError(RuntimeError):
     """Inverse-branch construction or inversion failed."""
 
 
-@dataclass(frozen=True)
-class RealPoly:
+class RealPoly(Value):
     """Dense real polynomial with exact rational coefficients, lowest first."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", poly_trim(self.coeffs))
-        if not self.coeffs:
-            object.__setattr__(self, "coeffs", (Q(0),))
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", poly_trim(coeffs) or (Q(0),))
 
     def __call__(self, x):
         """Horner's rule; at a float x it makes `float_fn`'s IEEE steps."""
@@ -67,8 +64,7 @@ class RealPoly:
 IDENTITY = RealPoly((Q(0), Q(1)))
 
 
-@dataclass(frozen=True)
-class CubicParam:
+class CubicParam(NamedTuple):
     """Parameter s with the derived coefficients and free critical point."""
 
     s: Fraction
@@ -125,8 +121,7 @@ def s_star_polynomial() -> RealPoly:
     return RealPoly((Q(-2), Q(-3), Q(0), Q(1), Q(1)))
 
 
-@dataclass(frozen=True)
-class SStar:
+class SStar(NamedTuple):
     value: float
     bracket: tuple[Fraction, Fraction]
 
@@ -267,8 +262,7 @@ def _preimages(f, lap_bounds: Sequence[float], y: float) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class PeriodicCount:
+class PeriodicCount(NamedTuple):
     n: int
     count: int
     flagged: tuple[float, ...] = ()
@@ -408,14 +402,14 @@ def periodic_counts(s, alpha: float, beta: float, nmax: int) -> list[PeriodicCou
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+class Interval(Value):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __init__(self, lo: float, hi: float):
+        if not lo < hi:
             raise ValueError("empty interval")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def diameter(self) -> float:
@@ -428,22 +422,19 @@ class Interval:
         return self.hi + margin < other.lo or other.hi + margin < self.lo
 
 
-@dataclass
-class BranchSystem:
+class BranchSystem(Value):
     """Base interval J with sub-intervals J1, J2 and the inverse branches
     phi1 = (F^2 | J1-region)^-1 and phi2 = (F | J2-region)^-1, realized by
-    monotone bisection inversion."""
+    monotone bisection inversion with the float map _f.
 
-    s: Fraction
-    base: Interval
-    j1: Interval
-    j2: Interval
-    k1: Interval
-    k2: Interval
-    cycle: tuple[float, float, float]  # repelling orbit p0 -> p1 -> p2
-    ell0: float
-    ell1: float
-    _f: Callable[[float], float] = field(repr=False, default=None)
+    ``cycle`` is the repelling orbit p0 -> p1 -> p2."""
+
+    __slots__ = ("s", "base", "j1", "j2", "k1", "k2", "cycle", "ell0", "ell1", "_f")
+
+    def __init__(self, s: Fraction, base: Interval, j1: Interval, j2: Interval, k1: Interval, k2: Interval,
+                 cycle: tuple[float, float, float], ell0: float, ell1: float, _f: Callable[[float], float]):
+        for name, value in zip(self.__slots__, (s, base, j1, j2, k1, k2, cycle, ell0, ell1, _f)):
+            object.__setattr__(self, name, value)
 
     def phi2(self, y: float) -> float:
         """Inverse of F on the J2 side (F decreasing there)."""
@@ -524,8 +515,7 @@ def build_branch_system(s) -> BranchSystem:
     )
 
 
-@dataclass(frozen=True)
-class RepellerPiece:
+class RepellerPiece(NamedTuple):
     word: str
     collapsed: str
     interval: Interval

@@ -11,7 +11,8 @@ target kneading prefix.
 
 The exact numerators grow by log2(P) bits per step, so the bisection and
 the closest-return check first run the orbit as outward-rounded dyadic
-integer intervals [lo, hi] * 2^-F, with F = S(depth) + 64 fraction bits.
+integer intervals [lo, hi] * 2^-F, with F = S(depth) + 64 fraction bits
+(the bisection takes the bits of its tolerance when those are more).
 A symbol or a distance comparison is accepted only when its enclosure
 decides it; otherwise it is decided on the exact orbit, so every answer is
 the exact one.
@@ -19,10 +20,9 @@ the exact one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Q = Fraction
 
@@ -187,15 +187,22 @@ def _kneading_cmp(lam: Fraction, target: Sequence[int], frac_bits: int) -> int:
     return 0
 
 
-_MAX_BISECTIONS = 2000  # find_fib_lambda reaches any tol above 2^-2000
+_MAX_BISECTIONS = 2000  # find_fib_lambda reaches any tol >= 2^-2000
+
+
+def _bits_below(tol: Fraction) -> int:
+    """The least k >= 0 with 2^-k <= tol: the halvings of a unit bracket
+    that reach tol."""
+    p, q = tol.numerator, tol.denominator
+    k = max(0, q.bit_length() - p.bit_length())
+    return k if p << k >= q else k + 1
 
 
 class BracketError(RuntimeError):
     """The kneading target could not be bracketed in the slope interval."""
 
 
-@dataclass(frozen=True)
-class LambdaResult:
+class LambdaResult(NamedTuple):
     lam: Fraction
     bracket: tuple[Fraction, Fraction]
     depth: int
@@ -216,38 +223,45 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10)) -> LambdaR
     closest-return property through depth.
 
     Each bisection step compares the prefix on dyadic enclosures of the
-    orbit with S(depth) + 64 fraction bits, and only a symbol whose
-    enclosure touches c is decided on the exact orbit, so the result is the
-    one exact bisection gives.
+    orbit with max(S(depth), log2(1/tol)) + 64 fraction bits, and only a
+    symbol whose enclosure touches c is decided on the exact orbit, so the
+    result is the one exact bisection gives.  A slope within the bracket
+    width w of the window's edge has a symbol about w lam^n from c, so
+    without tol's bits the enclosures of a narrow bracket would touch c at
+    every step.
 
     A float tol is read as its exact binary value: no power of two, which
     the bracket width is, lies strictly between a decimal and its float.
     """
-    if depth < 1 or depth > 20:
-        raise ValueError("depth must be in 1..20")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise ValueError("depth capped at %d" % MAX_DEPTH)
     tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     target = _target_addresses(depth)
-    frac_bits = len(target) + 64
+    frac_bits = max(len(target), _bits_below(tol)) + 64
 
     lo, hi = Q(1), Q(2)
     c_hi = _kneading_cmp(hi, target, frac_bits)
     if c_hi < 0:
         raise BracketError("target exceeds the full tent kneading")
-    for _ in range(_MAX_BISECTIONS):
-        if c_hi == 0 and hi - lo <= tol:
-            lam = hi
-            if not orbit_order_holds(lam, depth):
-                raise BracketError("closest-return property failed at the bisected slope")
-            return LambdaResult(lam, (lo, hi), depth)
+    bisections = 0
+    while not (c_hi == 0 and hi - lo <= tol):
+        if bisections == _MAX_BISECTIONS:
+            raise BracketError("bisection did not locate the target within tol in %d halvings at depth %d"
+                               % (_MAX_BISECTIONS, depth))
+        bisections += 1
         mid = (lo + hi) / 2
         c = _kneading_cmp(mid, target, frac_bits)
         if c < 0:
             lo = mid
         else:
             hi, c_hi = mid, c
-    raise BracketError("bisection did not locate the target at depth %d" % depth)
+    if not orbit_order_holds(hi, depth):
+        raise BracketError("closest-return property failed at the bisected slope")
+    return LambdaResult(hi, (lo, hi), depth)
 
 
 def orbit_order_holds(lam: Fraction, k_max: int) -> bool:
@@ -295,8 +309,7 @@ def _orbit_order_holds(lam: Fraction, k_max: int, frac_bits: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledInterval:
+class LabeledInterval(NamedTuple):
     name: str
     labels: tuple[int, int]  # orbit indices of (lo, hi); c itself is index 0
     lo: Fraction
@@ -317,8 +330,7 @@ class LabeledInterval:
         return self.hi < other.lo or other.hi < self.lo
 
 
-@dataclass
-class IntervalFamily:
+class IntervalFamily(NamedTuple):
     lam: Fraction
     k_max: int
     orbit: TentOrbit
@@ -327,6 +339,11 @@ class IntervalFamily:
     D: dict[int, LabeledInterval]
     M: dict[int, list[LabeledInterval]]
 
+
+# the deepest Fibonacci target find_fib_lambda bisects for: at the smallest
+# tol it reaches, 2^-2000, depths 12, 13, 14 took 15 s, 23 s and 32 s, and
+# at the default tol 13, 14, 15 took 0.7 s, 3.9 s and 21 s
+MAX_DEPTH = 13
 
 # the deepest structure `fib check` verifies: its family is built to k_max + 2,
 # and at the depth-12 slope (366-bit p/q) k_max = 8, 9, 10 took 4.5 s, 21 s,
@@ -383,8 +400,7 @@ def interval_families(lam: Fraction, k_max: int) -> IntervalFamily:
     return IntervalFamily(lam, k_max, orb, fam_i, fam_j, fam_d, fam_m)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     ok: bool
     checks: dict[str, bool]
 
@@ -449,8 +465,7 @@ def verify_structure(family: IntervalFamily, k_max: int) -> StructureReport:
     return StructureReport(all(checks.values()), checks)
 
 
-@dataclass(frozen=True)
-class DiameterReport:
+class DiameterReport(NamedTuple):
     k_max: int
     nu: list[Fraction]  # nu_k = |D_k| / |D_{k+1}|, k = 0..k_max
     C: list[Fraction]  # C_k = nu_k * lam^-S(k)

@@ -15,10 +15,9 @@ iterated maps of the interval, 1988).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinatorics import PLModel, _eventual_path, turning_points
 from .series import (
@@ -90,8 +89,7 @@ def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list
     return [TruncSeries(order, tuple(map(Q, c))) for c in comps]
 
 
-@dataclass(frozen=True)
-class KneadingData:
+class KneadingData(NamedTuple):
     """The kneading matrix, m rows and m+1 columns of series with integer
     coefficients, and the preperiod P_i and period L_i of each row."""
 
@@ -232,8 +230,7 @@ def unimodal_rational_form(eps_prefix: Sequence[int], eps_cycle: Sequence[int]) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VUStructureReport:
+class VUStructureReport(NamedTuple):
     ok: bool
     rows_polynomial_outside_pair: bool
     determinant_factors_through_dominant: bool

@@ -10,12 +10,13 @@ denominator normalized to constant term 1 so they expand as power series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from ._value import Value
 
 Q = Fraction
 
@@ -156,22 +157,22 @@ def poly_compose(p, q) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(Value):
     """Power series known exactly through ``t**order``.
 
     Binary operations truncate at the smaller of the two operand orders, so
     no coefficient is ever reported beyond what both inputs determine.
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable, order: int) -> "TruncSeries":
@@ -296,18 +297,23 @@ def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalFn:
+class RationalFn(Value):
     """Quotient of polynomials in Q[t], reduced, with den(0) = 1.
 
     The denominator's nonzero constant term makes every RationalFn
     expandable as a power series.
     """
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
+        # the one normalising step of every construction (bench/tracing.py
+        # counts constructions through it)
         # num and den over one common denominator, which cancels
         k = len(self.num)
         ints, _ = _scaled([*self.num, *self.den])
@@ -358,8 +364,7 @@ def rf_to_series(rf: RationalFn, order: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicityCertificate:
+class PeriodicityCertificate(NamedTuple):
     preperiod: int
     period: int
     depth: int  # number of coefficients inspected

@@ -201,6 +201,15 @@ class TestCubicAndFib:
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "kmax capped at 9"}
 
+    @pytest.mark.parametrize("depth, reason", [("0", "depth must be >= 1"), ("14", "depth capped at 13"),
+                                               ("20", "depth capped at 13")])
+    def test_fib_find_lambda_bad_depth(self, capsys, monkeypatch, depth, reason):
+        # refused before the target is built; depth 20 would run for about a day
+        monkeypatch.setattr(fibmap, "_target_addresses", None)
+        code, out = run_cli(capsys, "fib", "find-lambda", "--depth", depth)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": reason}
+
     @pytest.mark.parametrize("argv, reason", [
         (("cubic", "count", "--s", "6/5", "--n", "120"), "n capped at 16"),
         (("cubic", "report", "--s", "6/5", "--nmax", "60"), "nmax capped at 16"),
@@ -256,6 +265,16 @@ class TestCubicAndFib:
         assert code == 0
         assert json.loads(out)["lambda"] == json.loads(default)["lambda"]
 
+    def test_fib_find_lambda_tol_beyond_float_range(self, capsys):
+        # the exact value is range-checked, not its float (0 or inf here)
+        code, out = run_cli(capsys, "fib", "find-lambda", "--depth", "3", "--tol", "1e-400")
+        assert code == 0
+        lo, hi = map(Fraction, json.loads(out)["bracket"])
+        assert 0 < hi - lo <= Fraction(1, 10**400)
+        _, one = run_cli(capsys, "fib", "find-lambda", "--depth", "3", "--tol", "1")
+        code, out = run_cli(capsys, "fib", "find-lambda", "--depth", "3", "--tol", "1e999")
+        assert (code, out) == (0, one)
+
     def test_series_detect_period(self, capsys):
         code, out = run_cli(capsys, "series", "detect-period", "--coeffs", "1,-1,-1,-1,-1,-1,-1,-1,-1")
         assert code == 0
@@ -283,6 +302,11 @@ class TestContract:
         cases += [
             (["fib", "find-lambda", "--depth", "3", "--tol=" + tol], "--tol must be > 0")
             for tol in ("0", "nan", "inf", "-inf")
+        ]
+        # the bisection halves its bracket at most 2000 times
+        cases += [
+            (["fib", "find-lambda", "--depth", "3", "--tol=" + tol], "--tol must be >= 2^-2000")
+            for tol in ("8.7e-603", "1e-700", "1e-99999999999999")
         ]
         for argv, message in cases:
             with pytest.raises(SystemExit) as exc:

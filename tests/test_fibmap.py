@@ -194,6 +194,23 @@ class TestFindLambda:
             find_fib_lambda(depth)
         assert exact_builds == []
 
+    def test_tiny_tol_needs_no_exact_orbit(self, exact_builds):
+        # the enclosures carry the bits of tol: with S(depth) + 64 bits alone,
+        # every step past width 2^-(S(depth) + 64) rebuilt the exact orbit
+        for depth in range(2, 11):
+            res = find_fib_lambda(depth, Q(1, 2**1000))
+            assert res.bracket[1] - res.bracket[0] <= Q(1, 2**1000)
+        assert exact_builds == []
+
+    def test_narrowest_reachable_tol(self):
+        res = find_fib_lambda(1, Q(1, 2**fibmap._MAX_BISECTIONS))
+        assert res.bracket[1] - res.bracket[0] == Q(1, 2**fibmap._MAX_BISECTIONS)
+
+    def test_depth_above_cap_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(fibmap, "_target_addresses", None)
+        with pytest.raises(ValueError, match="depth capped at %d" % fibmap.MAX_DEPTH):
+            find_fib_lambda(fibmap.MAX_DEPTH + 1)
+
 
 class TestCertifiedOrbit:
     @given(slopes, st.integers(1, 130))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -171,14 +170,14 @@ class TestRowIdentity:
         (left, right), = kd.matrix
         bad = TruncSeries(kd.order, right.coeffs[:2] + (right.coeffs[2] + 1,) + right.coeffs[3:])
         with pytest.raises(KneadingError, match="row 1 breaks the Milnor-Thurston identity"):
-            _rational_determinant(replace(kd, matrix=((left, bad),)))
+            _rational_determinant(kd._replace(matrix=((left, bad),)))
 
     def test_leading_coefficient_not_one(self):
         # a doubled row keeps the identity and doubles D
         kd = kneading_matrix(pl_model(FULL_TENT))
         doubled = tuple(tuple(2 * e for e in row) for row in kd.matrix)
         with pytest.raises(KneadingError, match="leading coefficient 1"):
-            _rational_determinant(replace(kd, matrix=doubled))
+            _rational_determinant(kd._replace(matrix=doubled))
 
     def test_broken_degree_bound(self):
         # a wrong period keeps the identity checked through t^(P+L) but makes
@@ -186,7 +185,7 @@ class TestRowIdentity:
         kd = kneading_matrix(pl_model(FULL_TENT))
         assert kd.periods == ((2, 1),) and kd.order == 3
         with pytest.raises(KneadingError, match="exceeds its degree bound"):
-            _rational_determinant(replace(kd, periods=((1, 2),)))
+            _rational_determinant(kd._replace(periods=((1, 2),)))
 
     def test_one_matrix_det_per_determinant(self, monkeypatch):
         calls = []
