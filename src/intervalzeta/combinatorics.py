@@ -3,8 +3,9 @@
 A combinatorics is an integer vector rho in {0..n}^(n+1) recording where a
 map sends each of n+1 marked points; its piecewise-linear model connects
 the dots over [0, n].  This module provides the validity predicates, orbit
-and classification machinery, the virtually-unimodal test, the closed-form
-family generator, and exact periodic-orbit enumeration on PL models.
+and classification machinery, the virtually-unimodal test, exact
+periodic-orbit enumeration on PL models, and the marked-orbit construction
+of virtually unimodal combinatorics with the family it generates.
 """
 
 from __future__ import annotations
@@ -310,24 +311,17 @@ def is_expanding(rho) -> ExpandingCheck:
 
 
 def generate_vu(nu: int) -> Combinatorics:
-    """Closed-form virtually unimodal combinatorics with nu turning points.
+    """The virtually unimodal combinatorics with nu turning points.
 
-    Pattern reverse-engineered from the two worked vectors (nu = 2 and 3)
-    and regression-locked to them: length nu+6; entry 0 is nu+5 for even nu
-    and 0 for odd; entries 1..nu-1 alternate between nu+1 and nu+3 ending
-    at nu+1; entries nu..nu+4 are the embedded period-two marking
-    (nu+2, nu+3, nu+4, nu+1, nu); the last entry is 0.
+    `build_vu_from_periodic_points` applied to nu - 1 points of the base
+    model's period-two orbit {5/3, 8/3}, alternating along the list and
+    ending at 5/3: its marks are the turning orbit {1, 2, 3} and this orbit,
+    and its dominant turning point is nu + 2.
     """
     if nu < 2:
         raise ValueError("nu must be >= 2")
-    n = nu + 5
-    entries = [0] * (n + 1)
-    entries[0] = n if nu % 2 == 0 else 0
-    for i in range(1, nu):
-        entries[i] = nu + 1 if (nu - 1 - i) % 2 == 0 else nu + 3
-    entries[nu : nu + 5] = [nu + 2, nu + 3, nu + 4, nu + 1, nu]
-    entries[n] = 0
-    return Combinatorics(tuple(entries))
+    two_cycle = (Q(5, 3), Q(8, 3))
+    return build_vu_from_periodic_points([two_cycle[(nu - 1 - i) % 2] for i in range(1, nu)])
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +445,7 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
     model = pl_model(BASE_UNIMODAL)
     # integer slopes never grow a denominator, so every orbit is finite
     orbits = []
-    for x in pts:
+    for x in dict.fromkeys(pts):  # each distinct point is walked once
         if not (1 <= x <= 3):
             raise ValueError("point %s outside [1, 3]" % x)
         path, start = _eventual_path(model, x)

@@ -182,21 +182,25 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
     return 0.5 * (lo + hi)
 
 
+def _sign_change_roots(g: Callable[[float], float], xs: Sequence[float], tol: float) -> list[float]:
+    """Roots of g located from its values at the nodes xs: each node where g
+    is zero, and a bisection to tol between adjacent nonzero nodes where g
+    changes sign."""
+    vals = [g(x) for x in xs]
+    roots = []
+    for k, v in enumerate(vals):
+        if v == 0.0:
+            roots.append(xs[k])
+        elif k + 1 < len(vals) and vals[k + 1] != 0.0 and (v > 0) != (vals[k + 1] > 0):
+            roots.append(_bisect(g, xs[k], xs[k + 1], tol))
+    return roots
+
+
 def _real_roots_in(poly: RealPoly, lo: float, hi: float, tol: float, samples: int = 600) -> list[float]:
     """Simple roots of an exact polynomial in [lo, hi] by sign scan + bisection."""
-    f = poly.float_fn()
     xs = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
-    vals = [f(x) for x in xs]
-    roots = []
-    for k in range(samples):
-        if vals[k] == 0.0:
-            roots.append(xs[k])
-        elif (vals[k] > 0) != (vals[k + 1] > 0):
-            roots.append(_bisect(f, xs[k], xs[k + 1], tol))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
     out: list[float] = []
-    for r in roots:
+    for r in _sign_change_roots(poly.float_fn(), xs, tol):
         if not out or abs(r - out[-1]) > 10 * tol:
             out.append(r)
     return out
@@ -247,19 +251,8 @@ def filled_julia_endpoints(s) -> tuple[float, float]:
 
 
 def _preimages(f, lap_bounds: Sequence[float], y: float) -> list[float]:
-    """Solutions of f(x) = y, one bisection per monotone lap."""
-    out = []
-    for lo, hi in zip(lap_bounds, lap_bounds[1:]):
-        flo, fhi = f(lo) - y, f(hi) - y
-        if flo == 0.0:
-            out.append(lo)
-            continue
-        if fhi == 0.0:
-            out.append(hi)
-            continue
-        if (flo > 0) != (fhi > 0):
-            out.append(_bisect(lambda x: f(x) - y, lo, hi, _COUNT_TOL))
-    return out
+    """Solutions of f(x) = y on the monotone laps between lap_bounds."""
+    return _sign_change_roots(lambda x: f(x) - y, lap_bounds, _COUNT_TOL)
 
 
 class PeriodicCount(NamedTuple):

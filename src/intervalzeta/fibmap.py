@@ -21,8 +21,10 @@ the exact one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, NamedTuple, Sequence
+
+from .subshift import fib_numbers
 
 Q = Fraction
 
@@ -31,29 +33,16 @@ _L, _C, _R = 0, 1, 2
 
 
 def cut_times(k: int) -> list[int]:
-    """Cut times S(0)..S(k): the Fibonacci recursion seeded S(-2)=0, S(-1)=1."""
+    """Cut times S(0)..S(k): the Fibonacci recursion seeded S(-2)=0, S(-1)=1,
+    so S(k) is the Fibonacci number l_(k+2)."""
     if k < -2:
         raise ValueError("k must be >= -2")
-    vals = [0, 1]  # S(-2), S(-1)
-    for _ in range(k + 1):
-        vals.append(vals[-1] + vals[-2])
-    return vals[2:]
+    return fib_numbers(k + 2)[2:]
 
 
 def _s(k: int) -> int:
     """Single cut time S(k), k >= -2."""
-    if k == -2:
-        return 0
-    if k == -1:
-        return 1
-    return cut_times(k)[-1]
-
-
-def tent_map(lam: Fraction, x: Fraction) -> Fraction:
-    """T(x) = lam * min(x, 1 - x) on [0, 1], exact for rational data."""
-    if not (0 <= x <= 1):
-        raise ValueError("point outside [0, 1]")
-    return lam * min(x, 1 - x)
+    return fib_numbers(k + 2)[-1]
 
 
 def _target_addresses(depth: int) -> list[int]:
@@ -125,22 +114,6 @@ class TentOrbit:
         right = abs(self._a[j] - self._qpow[j]) * self._qpow[i]
         return (left > right) - (left < right)
 
-    def addresses(self, n_from: int, n_to: int) -> list[int]:
-        return [self.address(n) for n in range(n_from, n_to + 1)]
-
-
-def _parity_lex_cmp(a: Sequence[int], b: Sequence[int]) -> int:
-    """Compare address sequences in the parity-lexicographic order."""
-    flip = 1
-    for x, y in zip(a, b):
-        if x != y:
-            return flip * ((x > y) - (x < y))
-        if x == _R:
-            flip = -flip
-        elif x == _C:
-            break
-    return 0
-
 
 def _dyadic_orbit(lam: Fraction, frac_bits: int) -> Iterator[tuple[int, int]]:
     """Enclosures [lo, hi] * 2^-frac_bits of c_0, c_1, ... (frac_bits >= 1).
@@ -162,24 +135,29 @@ def _dyadic_orbit(lam: Fraction, frac_bits: int) -> Iterator[tuple[int, int]]:
 
 
 def _kneading_cmp(lam: Fraction, target: Sequence[int], frac_bits: int) -> int:
-    """_parity_lex_cmp of the addresses of c_1..c_m against target
-    (m = len(target), no turning symbol in target).
+    """Sign of the parity-lexicographic comparison of the addresses of
+    c_1..c_m against target (m = len(target), no turning symbol in target).
 
-    Runs on the dyadic enclosures and stops at the first symbol that differs
-    from the target.  If an enclosure touches c before that, the comparison
-    is made on the exact orbit.
+    At the first differing symbol the order is that of the addresses,
+    reversed when an odd number of R symbols precede it.  The symbols are
+    read from the dyadic enclosures, up to the first that differs from the
+    target; a symbol whose enclosure touches c is read from the exact orbit,
+    built once.
     """
     half = 1 << (frac_bits - 1)
     flip = 1
+    exact = None
     orbit = _dyadic_orbit(lam, frac_bits)
     next(orbit)  # c_0 = c
-    for want, (lo, hi) in zip(target, orbit):
+    for n, want, (lo, hi) in zip(count(1), target, orbit):
         if lo > half:
             sym = _R
         elif hi < half:
             sym = _L
         else:
-            return _parity_lex_cmp(TentOrbit(lam, len(target)).addresses(1, len(target)), target)
+            if exact is None:
+                exact = TentOrbit(lam, len(target))
+            sym = exact.address(n)
         if sym != want:
             return flip * ((sym > want) - (sym < want))
         if sym == _R:
@@ -240,8 +218,11 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10)) -> LambdaR
     tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    tol_bits = _bits_below(tol)
+    if tol_bits > _MAX_BISECTIONS:
+        raise ValueError("tol must be >= 2^-%d, the narrowest bracket the bisection reaches" % _MAX_BISECTIONS)
     target = _target_addresses(depth)
-    frac_bits = max(len(target), _bits_below(tol)) + 64
+    frac_bits = max(len(target), tol_bits) + 64
 
     lo, hi = Q(1), Q(2)
     c_hi = _kneading_cmp(hi, target, frac_bits)

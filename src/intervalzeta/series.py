@@ -36,8 +36,8 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _trimmed(a: list[int]) -> list[int]:
-    """An integer coefficient list with its trailing zeros dropped, in place."""
+def _trimmed(a: list) -> list:
+    """A coefficient list with its trailing zeros dropped, in place."""
     while a and not a[-1]:
         a.pop()
     return a
@@ -52,17 +52,11 @@ def _poly_ints(p) -> tuple[list[int], int]:
 
 def _ratios(xs: Iterable[int], d: int) -> tuple[Fraction, ...]:
     """The rationals x/d, trailing zeros dropped."""
-    out = [Q(x) for x in xs] if d == 1 else [Q(x, d) for x in xs]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return tuple(_trimmed([Q(x) for x in xs] if d == 1 else [Q(x, d) for x in xs]))
 
 
 def poly_trim(p: Sequence) -> tuple[Fraction, ...]:
-    p = [_frac(c) for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
+    return tuple(_trimmed([_frac(c) for c in p]))
 
 
 def poly_sub(p, q) -> tuple[Fraction, ...]:

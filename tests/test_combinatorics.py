@@ -23,6 +23,7 @@ from intervalzeta.combinatorics import (
     pl_model,
     turning_points,
 )
+from tests_support import vu_closed_form
 
 RHO0 = (0, 2, 3, 1, 0)
 
@@ -234,6 +235,11 @@ class TestGenerateVU:
     def test_rejects_small_nu(self):
         with pytest.raises(ValueError):
             generate_vu(1)
+
+    def test_equals_the_closed_form(self):
+        # through the --nu cap of the CLI
+        for nu in range(2, 101):
+            assert generate_vu(nu) == vu_closed_form(nu), nu
 
     @pytest.mark.parametrize("nu", range(2, 17))
     def test_all_predicates(self, nu):

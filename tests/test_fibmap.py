@@ -16,10 +16,9 @@ from intervalzeta.fibmap import (
     interval_families,
     orbit_order_holds,
     target_kneading,
-    tent_map,
     verify_structure,
 )
-from tests_support import PAPER_M_LABELS
+from tests_support import PAPER_M_LABELS, addresses, parity_lex_cmp, tent_map
 
 # find_fib_lambda(d) at the default tol as (str(lam), str(lo), str(hi)) of its
 # exact bisection.  Through depth 7 the tol decides where it stops.
@@ -45,7 +44,7 @@ PINNED_LAMBDA_DIGESTS = {
 def exact_kneading_cmp(lam, target):
     """Reference for fibmap._kneading_cmp on the exact orbit."""
     orb = TentOrbit(lam, len(target))
-    return fibmap._parity_lex_cmp(orb.addresses(1, len(target)), target)
+    return parity_lex_cmp(addresses(orb, 1, len(target)), target)
 
 
 def exact_orbit_order_holds(lam, k_max):
@@ -160,10 +159,10 @@ class TestFindLambda:
             find_fib_lambda(0)
 
     def test_exhausted_iteration_budget_errors(self, monkeypatch):
-        # three halvings of [1, 2] cannot reach the depth-12 window
+        # three halvings of [1, 2] reach width 1/8 but not the depth-12 window
         monkeypatch.setattr(fibmap, "_MAX_BISECTIONS", 3)
         with pytest.raises(BracketError):
-            find_fib_lambda(12, Q(1, 10))
+            find_fib_lambda(12, Q(1, 8))
 
     def test_exact_output_is_pinned(self):
         for depth in range(1, 13):
@@ -211,6 +210,11 @@ class TestFindLambda:
         with pytest.raises(ValueError, match="depth capped at %d" % fibmap.MAX_DEPTH):
             find_fib_lambda(fibmap.MAX_DEPTH + 1)
 
+    def test_unreachable_tol_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(fibmap, "_target_addresses", None)
+        with pytest.raises(ValueError, match="tol must be >= 2\\^-%d" % fibmap._MAX_BISECTIONS):
+            find_fib_lambda(6, Q(1, 2 ** fibmap._MAX_BISECTIONS + 1))
+
 
 class TestCertifiedOrbit:
     @given(slopes, st.integers(1, 130))
@@ -225,7 +229,7 @@ class TestCertifiedOrbit:
     @settings(max_examples=150)
     def test_kneading_cmp_matches_exact(self, lam, m, flip_at, depth, frac_bits):
         # the own addresses of lam, changed at flip_at, make the comparison run deep
-        target = TentOrbit(lam, m).addresses(1, m)
+        target = addresses(TentOrbit(lam, m), 1, m)
         if flip_at < m:
             target[flip_at] = fibmap._L if target[flip_at] == fibmap._R else fibmap._R
         assert fibmap._kneading_cmp(lam, target, frac_bits) == exact_kneading_cmp(lam, target)

@@ -131,6 +131,8 @@ class TestKneadingMatrix:
 
     @pytest.mark.parametrize("nu, evaluations", [(3, 14), (5, 24)])
     def test_one_walk_per_turning_point(self, nu, evaluations, monkeypatch):
+        # generate_vu walks the base model, so the model is built first
+        model = pl_model(generate_vu(nu))
         calls = []
         evaluate = PLModel.__call__
 
@@ -139,7 +141,6 @@ class TestKneadingMatrix:
             return evaluate(self, x)
 
         monkeypatch.setattr(PLModel, "__call__", counted)
-        model = pl_model(generate_vu(nu))
         kneading_rational(model)
         assert len(calls) <= evaluations
         kd = kneading_matrix(model)

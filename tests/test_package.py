@@ -1,5 +1,5 @@
-"""The package imports nothing outside the Python standard library, and
-nothing slow to import."""
+"""The package imports nothing outside the Python standard library, nothing
+slow to import, and keeps no private helper that only tests reach."""
 
 import ast
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "intervalzeta").glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
 def test_sources_found():
@@ -18,7 +19,7 @@ def test_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_absolute_imports_are_stdlib(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[path.name]
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -38,3 +39,37 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True,
                          check=True).stdout.splitlines()
     assert out == [str(SRC / "intervalzeta" / "__init__.py"), "[]"]
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level `_private` function, class or
+    assigned name; dunder names are not private helpers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _is_reference(node, name) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == name and not isinstance(node.ctx, ast.Store)
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_names_have_a_src_reference(path):
+    # a helper that only tests call belongs in tests/tests_support.py; a
+    # mention in a docstring or an import list is not a use
+    unused = []
+    for name, definition in _private_definitions(TREES[path.name]):
+        own = {id(n) for n in ast.walk(definition)}
+        if not any(_is_reference(n, name) and id(n) not in own for tree in TREES.values() for n in ast.walk(tree)):
+            unused.append(name)
+    assert unused == []

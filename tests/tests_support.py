@@ -1,12 +1,14 @@
 """Frozen expected values shared by the module tests and the acceptance suite,
-plain-Fraction reference implementations of the integer series kernels, and
-the unimodal sign sequence and per-column determinants the kneading tests
-compare against."""
+plain-Fraction reference implementations of the integer series kernels, the
+unimodal sign sequence and per-column determinants the kneading tests
+compare against, the closed form of the virtually unimodal family, and the
+exact tent-map references of the Fibonacci bisection."""
 
 from fractions import Fraction
 from itertools import zip_longest
 
-from intervalzeta.combinatorics import PLModel, turning_points
+from intervalzeta.combinatorics import Combinatorics, PLModel, turning_points
+from intervalzeta.fibmap import _C, _R, TentOrbit
 from intervalzeta.kneading import KneadingData
 from intervalzeta.series import TruncSeries, poly_trim, series_matrix_det
 
@@ -197,3 +199,59 @@ def rf_to_series(rf, order: int) -> TruncSeries:
             s -= den[k] * out[n - k]
         out.append(s)  # den[0] == 1 by normalization
     return TruncSeries(order, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# closed form of the virtually unimodal family, which generate_vu derives from
+# the marked-orbit construction
+# ---------------------------------------------------------------------------
+
+
+def vu_closed_form(nu: int) -> Combinatorics:
+    """Closed-form virtually unimodal combinatorics with nu turning points.
+
+    Length nu+6; entry 0 is nu+5 for even nu and 0 for odd; entries 1..nu-1
+    alternate between nu+1 and nu+3 ending at nu+1; entries nu..nu+4 are the
+    embedded period-two marking (nu+2, nu+3, nu+4, nu+1, nu); the last entry
+    is 0.
+    """
+    if nu < 2:
+        raise ValueError("nu must be >= 2")
+    n = nu + 5
+    entries = [0] * (n + 1)
+    entries[0] = n if nu % 2 == 0 else 0
+    for i in range(1, nu):
+        entries[i] = nu + 1 if (nu - 1 - i) % 2 == 0 else nu + 3
+    entries[nu : nu + 5] = [nu + 2, nu + 3, nu + 4, nu + 1, nu]
+    entries[n] = 0
+    return Combinatorics(tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# exact tent-map references for intervalzeta.fibmap
+# ---------------------------------------------------------------------------
+
+
+def tent_map(lam: Fraction, x: Fraction) -> Fraction:
+    """T(x) = lam * min(x, 1 - x) on [0, 1], exact for rational data."""
+    if not (0 <= x <= 1):
+        raise ValueError("point outside [0, 1]")
+    return lam * min(x, 1 - x)
+
+
+def addresses(orb: TentOrbit, n_from: int, n_to: int) -> list[int]:
+    """The addresses of c_n_from..c_n_to on an exact orbit."""
+    return [orb.address(n) for n in range(n_from, n_to + 1)]
+
+
+def parity_lex_cmp(a, b) -> int:
+    """Compare address sequences in the parity-lexicographic order."""
+    flip = 1
+    for x, y in zip(a, b):
+        if x != y:
+            return flip * ((x > y) - (x < y))
+        if x == _R:
+            flip = -flip
+        elif x == _C:
+            break
+    return 0
