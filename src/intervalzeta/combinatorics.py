@@ -435,10 +435,11 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
     """Marked-orbit construction over the base period-three unimodal model.
 
     Given periodic points k_1..k_{nu-1} of the base model in [1, 3] (with
-    k_{nu-1} <= 2 and strictly alternating sides along the list), marks
-    their orbits together with the turning orbit {1, 2, 3}, records the
-    induced map as positions, and frames the result with nu-1 new turning
-    points whose images oscillate through the chosen points.
+    k_{nu-1} < 2, no two adjacent points equal, and strictly alternating
+    sides along the list), marks their orbits together with the turning
+    orbit {1, 2, 3}, records the induced map as positions, and frames the
+    result with nu-1 new turning points whose images oscillate through the
+    chosen points.  A result that is not piecewise monotone is refused.
     """
     pts = [x if isinstance(x, Fraction) else Q(x) for x in points]
     nu = len(pts) + 1
@@ -452,12 +453,13 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
         if start != 0:
             raise ValueError("point %s is not periodic for the base model" % x)
         orbits.append(path)
-    if pts and pts[-1] > 2:
-        raise ValueError("last point must be <= 2")
-    if len(pts) >= 2:
-        sgn = [1 if pts[i] > pts[i + 1] else -1 for i in range(len(pts) - 1)]
-        if any(sgn[i] == sgn[i + 1] for i in range(len(sgn) - 1)):
-            raise ValueError("points must alternate sides along the list")
+    if pts and pts[-1] >= 2:
+        raise ValueError("last point must be < 2")
+    if any(a == b for a, b in zip(pts, pts[1:])):
+        raise ValueError("adjacent points must differ")
+    sgn = [1 if a > b else -1 for a, b in zip(pts, pts[1:])]
+    if any(a == b for a, b in zip(sgn, sgn[1:])):
+        raise ValueError("points must alternate sides along the list")
 
     ys = sorted({Q(1), Q(2), Q(3)}.union(*orbits))
     n_prime = len(ys)
@@ -472,4 +474,8 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
     for j in range(1, n_prime + 1):
         entries[nu + j - 1] = nu + xi[j - 1] - 1
     entries[n] = 0
-    return Combinatorics(tuple(entries))
+    rho = Combinatorics(tuple(entries))
+    pm = is_pm(rho)
+    if not pm:
+        raise ValueError("construction is not piecewise monotone: adjacent equal entries at %d" % pm.witness)
+    return rho

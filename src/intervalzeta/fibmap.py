@@ -21,6 +21,7 @@ the exact one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import count, islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,8 +41,9 @@ def cut_times(k: int) -> list[int]:
     return fib_numbers(k + 2)[2:]
 
 
+@cache
 def _s(k: int) -> int:
-    """Single cut time S(k), k >= -2."""
+    """Single cut time S(k), k >= -2, computed once for each k."""
     return fib_numbers(k + 2)[-1]
 
 

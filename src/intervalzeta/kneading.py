@@ -9,7 +9,9 @@ The increments assemble into the kneading matrix, whose determinant is
 computed exactly, as a rational function, from the minor deleting column 0;
 the row identity sum_j nu_ij(t) (1 - s_j t) = 0, by which every column
 gives the same determinant, is checked instead (Milnor-Thurston, On
-iterated maps of the interval, 1988).
+iterated maps of the interval, 1988).  The minor is one fraction-free
+elimination (`series_matrix_det`), polynomial in the number m of turning
+points; m and the total orbit length N are capped (`CAPS`).
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class KneadingData(NamedTuple):
         return self.matrix[0][0].order
 
 
+# the largest modality m and N = sum_i (P_i + L_i) that kneading_matrix
+# accepts, so that no determinant runs for long: it costs O(m^3 N^2) integer
+# operations.  kneading_rational took 0.1 s on generate_vu(20) (m = 20,
+# N = 99), and on random PM vectors 0.7-2.5 s at m = 20, N = 150..160,
+# 1.4-5.2 s at (20, 200), 11 s at (20, 331) and 43 s at (25, 449)
+# (Python 3.11.7 on a 2-core container).
+CAPS = {"m": 20, "N": 160}
+
+
 def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
     """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as a matrix,
     through t^order; by default through t^N, N = sum_i (P_i + L_i).
@@ -116,6 +127,8 @@ def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
     its lap.  On a PL model that state ranges over finitely many (integer
     point, side, sign), so one walk until the first repeat fixes the whole
     row: a preperiod P_i (at least 1, for the t^0 term) and a period L_i.
+    More than CAPS["m"] turning points, or N above CAPS["N"], is refused
+    with a ValueError before any row is built.
     """
     turning, shape = _laps(model)
     n = model.n
@@ -127,8 +140,13 @@ def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
 
     walks = [_eventual_path(step, (c, 1, 1)) for c in turning]
     periods = tuple((max(start, 1), len(path) - start) for path, start in walks)
+    total = sum(p + k for p, k in periods)
+    if len(turning) > CAPS["m"]:
+        raise ValueError("%d turning points, capped at %d" % (len(turning), CAPS["m"]))
+    if total > CAPS["N"]:
+        raise ValueError("N = sum of preperiods and periods = %d, capped at %d" % (total, CAPS["N"]))
     if order is None:
-        order = sum(p + k for p, k in periods)
+        order = total
     elif order < 0:
         raise ValueError("order must be >= 0")
     rows = []

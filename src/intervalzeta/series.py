@@ -10,7 +10,6 @@ denominator normalized to constant term 1 so they expand as power series.
 
 from __future__ import annotations
 
-from functools import cache
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -242,22 +241,44 @@ def _quotient_ints(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     y_k / (b0^(k+1)), b0 = b[0] != 0:
     y_k = a_k b0^k - sum_{j>=1} b_j b0^(j-1) y_{k-j}."""
     b0 = b[0]
-    terms = [(j, b[j] * b0 ** (j - 1)) for j in range(1, len(b)) if b[j]]
+    terms = [(j, b[j] * b0 ** (j - 1)) for j in range(1, min(len(b), n + 1)) if b[j]]
     y: list[int] = []
     scale = 1  # b0^k
     for k in range(n + 1):
         s = a[k] * scale if k < len(a) else 0
-        y.append(s - sum(c * y[k - j] for j, c in terms if j <= k))
+        for j, c in terms:
+            if j > k:
+                break
+            s -= c * y[k - j]
+        y.append(s)
         scale *= b0
     return y
 
 
-def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
-    """Determinant of a square matrix of series, by Laplace expansion along
-    the rows, each minor (a set of columns of the trailing rows) computed
-    once.  The entries are scaled to integers over one common denominator.
+def _series_quotient(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of a/b for integer series with b[0] != 0, where b
+    divides a over the integers."""
+    b0, y = b[0], _quotient_ints(a, b, n)
+    return y if b0 == 1 else [x // b0 ** (k + 1) for k, x in enumerate(y)]
 
-    Intended for the small matrices arising from kneading data (m <= 6).
+
+def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
+    """Determinant of a square matrix of series, through the smallest order
+    of its entries, by fraction-free elimination (Bareiss, Sylvester's
+    identity and multistep integer-preserving Gaussian elimination, 1968):
+    O(m^3) truncated products and quotients for m x m.
+
+    On the entries scaled to integers, step k replaces each entry a_ij of
+    the trailing block by (a_kk a_ij - a_ik a_kj) / p, p the previous pivot
+    (1 at first).  Each is a minor (Sylvester's identity), so the division
+    is exact, and the last entry left is the determinant.  A truncated
+    quotient needs a pivot with a nonzero constant term, which a row swap
+    (flipping the sign) brings up.  When no row has one, the pivot column of
+    the block is divisible by t: it is divided by t, the working order drops
+    by one, and the result is multiplied by t at the end.  Every later entry
+    is then the unshifted one over t, so the divisions stay exact and no
+    coefficient is lost.  A column zero through the working order makes the
+    determinant zero.
     """
     m = len(rows)
     if any(len(r) != m for r in rows):
@@ -265,25 +286,30 @@ def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
     if m == 0:
         raise ValueError("empty matrix")
     order = min(e.order for r in rows for e in r)
-    if m == 1:
-        return rows[0][0]
     d = lcm(*(c.denominator for r in rows for e in r for c in e.coeffs[: order + 1]))
-    entries = [[[c.numerator * (d // c.denominator) for c in e.coeffs[: order + 1]] for e in r] for r in rows]
-
-    @cache
-    def minor(cols: tuple[int, ...]) -> list[int]:
-        row = entries[m - len(cols)]
-        if len(cols) == 1:
-            return row[cols[0]]
-        acc = [0] * (order + 1)
-        for k, j in enumerate(cols):
-            term = _convolve(row[j], minor(cols[:k] + cols[k + 1 :]), order)
-            sign = 1 if k % 2 == 0 else -1
-            acc = [x + sign * y for x, y in zip(acc, term)]
-        return acc
-
-    scale = d**m
-    return TruncSeries(order, tuple(Q(x, scale) for x in minor(tuple(range(m)))))
+    block = [[[c.numerator * (d // c.denominator) for c in e.coeffs[: order + 1]] for e in r] for r in rows]
+    n, shift, sign, prev = order, 0, 1, [1]
+    while len(block) > 1:
+        while (k := next((i for i, row in enumerate(block) if row[0][0]), None)) is None:
+            if n == 0:
+                return TruncSeries(order, (Q(0),) * (order + 1))
+            n, shift = n - 1, shift + 1
+            for row in block:
+                row[0] = row[0][1:]
+        if k:
+            block[0], block[k] = block[k], block[0]
+            sign = -sign
+        (pivot, *top), rest = block[0], block[1:]
+        block = [
+            [
+                _series_quotient([x - y for x, y in zip(_convolve(pivot, a, n), _convolve(row[0], b, n))], prev, n)
+                for a, b in zip(row[1:], top)
+            ]
+            for row in rest
+        ]
+        prev = pivot
+    scale = sign * d**m
+    return TruncSeries(order, (Q(0),) * shift + tuple(Q(x, scale) for x in block[0][0][: n + 1]))
 
 
 # ---------------------------------------------------------------------------

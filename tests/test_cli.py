@@ -135,6 +135,20 @@ class TestZeta:
 
 
 class TestKnead:
+    @pytest.mark.parametrize("command", [("knead", "det"), ("knead", "matrix"),
+                                         ("zeta", "mt-check", "--zeta-num", "1", "--zeta-den", "1")])
+    # the vector of generate_vu(21), and one with m = 11 and N = 178
+    @pytest.mark.parametrize("rho, reason", [
+        ("0,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,23,24,25,22,21,0",
+         "21 turning points, capped at 20"),
+        ("15,8,14,7,13,2,10,9,5,16,17,14,9,15,6,3,1,4", "N = sum of preperiods and periods = 178, capped at 160"),
+    ])
+    def test_size_caps_refuse_before_the_determinant(self, capsys, monkeypatch, command, rho, reason):
+        monkeypatch.setattr(kneading, "series_matrix_det", lambda rows: pytest.fail("the determinant ran"))
+        code, out = run_cli(capsys, *command, "--rho", rho)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": reason}
+
     def test_det_output_shape(self, capsys):
         code, out = run_cli(capsys, "knead", "det", "--rho", "0,2,3,1,0", "--order", "12")
         assert code == 0

@@ -323,3 +323,13 @@ class TestBuildVU:
     def test_rejects_last_point_right_of_turning(self):
         with pytest.raises(ValueError):
             build_vu_from_periodic_points([Q(8, 3)])
+
+    # each of these once returned a vector with equal adjacent entries
+    @pytest.mark.parametrize("points", [[Q(5, 3), Q(5, 3)], [Q(8, 3), Q(8, 3), Q(5, 3)]])
+    def test_rejects_equal_adjacent_points(self, points):
+        with pytest.raises(ValueError, match="adjacent points must differ"):
+            build_vu_from_periodic_points(points)
+
+    def test_rejects_last_point_at_turning(self):
+        with pytest.raises(ValueError, match="last point must be < 2"):
+            build_vu_from_periodic_points([Q(2)])

@@ -19,12 +19,14 @@ from intervalzeta.kneading import (
     unimodal_rational_form,
     vu_structure_check,
 )
-from intervalzeta.series import RationalFn, TruncSeries, rf_to_series
+from intervalzeta.series import RationalFn, TruncSeries, rf_to_series, series_matrix_det
 
-from tests_support import _column_determinants, unimodal_eps
+from tests_support import _column_determinants, laplace_det, unimodal_eps
 
 RHO0 = (0, 2, 3, 1, 0)
 FULL_TENT = (0, 2, 0)
+# 11 turning points whose orbits have N = sum_i (P_i + L_i) = 178
+LONG_ORBITS = (15, 8, 14, 7, 13, 2, 10, 9, 5, 16, 17, 14, 9, 15, 6, 3, 1, 4)
 
 
 def sub(a, b):
@@ -147,6 +149,17 @@ class TestKneadingMatrix:
         assert kd.periods == ((1, 4),) * (nu - 1) + ((1, 3),)
         assert kd.order == sum(p + k for p, k in kd.periods)
 
+    def test_modality_cap(self):
+        # generate_vu(20) has m = 20 and N = 99, within both caps
+        assert kneading.CAPS == {"m": 20, "N": 160}
+        assert kneading_matrix(pl_model(generate_vu(20))).modality == 20
+        with pytest.raises(ValueError, match="^21 turning points, capped at 20$"):
+            kneading_matrix(pl_model(generate_vu(21)))
+
+    def test_orbit_length_cap(self):
+        with pytest.raises(ValueError, match="^N = sum of preperiods and periods = 178, capped at 160$"):
+            kneading_rational(pl_model(LONG_ORBITS))
+
 
 class TestRowIdentity:
     """sum_j nu_ij(t) (1 - s_j t) = 0 for every row: what makes every
@@ -204,6 +217,13 @@ class TestKneadingDeterminant:
     def test_period_three_closed_form(self):
         det = kneading_determinant(pl_model(RHO0), 48)
         assert det.coeffs == rf_to_series(RationalFn((1, -1, -1), (1, 0, 0, -1)), 48).coeffs
+
+    @pytest.mark.parametrize("nu", range(2, 11))
+    def test_minors_match_laplace(self, nu):
+        kd = kneading_matrix(pl_model(generate_vu(nu)))
+        for col in range(kd.modality + 1):
+            minor = [row[:col] + row[col + 1 :] for row in kd.matrix]
+            assert series_matrix_det(minor).coeffs == laplace_det(minor).coeffs
 
     def test_column_independence(self):
         cols = _column_determinants(kneading_matrix(pl_model(generate_vu(2)), 32))

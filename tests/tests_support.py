@@ -1,16 +1,19 @@
 """Frozen expected values shared by the module tests and the acceptance suite,
 plain-Fraction reference implementations of the integer series kernels, the
-unimodal sign sequence and per-column determinants the kneading tests
-compare against, the closed form of the virtually unimodal family, and the
-exact tent-map references of the Fibonacci bisection."""
+Laplace expansion that series_matrix_det replaced, the unimodal sign
+sequence and per-column determinants the kneading tests compare against,
+the closed form of the virtually unimodal family, and the exact tent-map
+references of the Fibonacci bisection."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
+from math import lcm
 
 from intervalzeta.combinatorics import Combinatorics, PLModel, turning_points
 from intervalzeta.fibmap import _C, _R, TentOrbit
 from intervalzeta.kneading import KneadingData
-from intervalzeta.series import TruncSeries, poly_trim, series_matrix_det
+from intervalzeta.series import TruncSeries, _convolve, poly_trim
 
 Q = Fraction
 
@@ -61,14 +64,43 @@ def unimodal_eps(model: PLModel, order: int) -> list[int]:
     return out
 
 
+def laplace_det(rows) -> TruncSeries:
+    """Determinant of a square matrix of series, by Laplace expansion along
+    the rows, each minor (a set of columns of the trailing rows) computed
+    once: 2^m minors for an m x m matrix.  The entries are scaled to
+    integers over one common denominator."""
+    m = len(rows)
+    order = min(e.order for r in rows for e in r)
+    if m == 1:
+        return rows[0][0]
+    d = lcm(*(c.denominator for r in rows for e in r for c in e.coeffs[: order + 1]))
+    entries = [[[c.numerator * (d // c.denominator) for c in e.coeffs[: order + 1]] for e in r] for r in rows]
+
+    @cache
+    def minor(cols: tuple[int, ...]) -> list[int]:
+        row = entries[m - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        acc = [0] * (order + 1)
+        for k, j in enumerate(cols):
+            term = _convolve(row[j], minor(cols[:k] + cols[k + 1 :]), order)
+            sign = 1 if k % 2 == 0 else -1
+            acc = [x + sign * y for x, y in zip(acc, term)]
+        return acc
+
+    scale = d**m
+    return TruncSeries(order, tuple(Q(x, scale) for x in minor(tuple(range(m)))))
+
+
 def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
-    """The determinant through t^order from each deletable column."""
+    """The determinant through t^order from each deletable column, by the
+    Laplace reference."""
     m = kd.modality
     order = kd.order
     out = []
     for col in range(m + 1):
         minor = [[kd.matrix[i][j] for j in range(m + 1) if j != col] for i in range(m)]
-        det = series_matrix_det(minor)
+        det = laplace_det(minor)
         sign = 1 if col % 2 == 0 else -1
         denom = TruncSeries.from_coeffs((1, -kd.shape[col]), order)
         out.append((sign * det) * denom.recip())
