@@ -5,6 +5,8 @@ A subclass names its fields in ``__slots__``, takes them in that order in
 equality (with instances of the same class only), a hash, a repr and
 copying from those fields, and refuses assignment.
 Records without validation or operators are ``typing.NamedTuple`` instead.
+The interval types of ``cubicfam`` and ``fibmap`` share one disjointness
+test, ``pairwise_disjoint``.
 """
 
 
@@ -35,3 +37,10 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+
+def pairwise_disjoint(intervals) -> bool:
+    """Whether no two closed intervals (values with lo <= hi) meet: sorted
+    by lo, each one ends before the next begins."""
+    ordered = sorted(intervals, key=lambda iv: iv.lo)
+    return all(u.hi < v.lo for u, v in zip(ordered, ordered[1:]))

@@ -6,10 +6,10 @@ keys, deterministic) or CSV to stdout or --out.  Exit codes: 0 success,
 
 The whole surface is one table, `_COMMANDS`: group -> (help, {command ->
 (handler, the flags it reads)}); every subcommand also takes the `_COMMON`
-flags.  The types of `--order`, `--tol` and the size flags (capped by
-`SIZE_CAPS`) refuse out-of-range values as usage errors.  A handler gets the
-parsed namespace alone; `main` writes a `DomainFailure` or library error it
-raises as one JSON failure line.
+flags.  The types of `--order`, `--tol`, the size flags and the list flags
+(capped by `SIZE_CAPS`) refuse out-of-range values as usage errors.  A
+handler gets the parsed namespace alone; `main` writes a `DomainFailure` or
+library error it raises as one JSON failure line.
 """
 
 from __future__ import annotations
@@ -43,17 +43,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational number: %r" % text) from exc
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("not a comma-separated integer list: %r" % text) from exc
-
-
-# the largest value of each size flag: a larger one is a usage error, refused
-# before any work is done.  Each is at least ten times the largest value the
-# README, the tests and the benchmark use.
-SIZE_CAPS = {"--nu": 100, "--order": 2048, "--n": 120, "--nmax": 60, "--kmax": 90, "--steps": 80}
+# the largest value of each integer size flag, and the most entries of each
+# list flag (rows of --matrix): a larger one is a usage error, refused before
+# any work is done.  Each is at least ten times the largest value the README,
+# the tests and the benchmark use.
+SIZE_CAPS = {"--nu": 100, "--order": 2048, "--n": 120, "--nmax": 60, "--kmax": 90, "--steps": 80,
+             "--rho": 300, "--prefix": 100, "--cycle": 100, "--counts": 200, "--zeta-num": 100,
+             "--zeta-den": 100, "--coeffs": 1000, "--matrix": 30}
 
 
 def _size(flag: str, least: int | None = None):
@@ -71,6 +67,23 @@ def _size(flag: str, least: int | None = None):
         if value > cap:
             raise argparse.ArgumentTypeError("%s must be <= %d" % (flag, cap))
         return value
+
+    return parse
+
+
+def _int_list(flag: str):
+    """The type of a comma-separated integer list flag: more entries than
+    its cap is a usage error."""
+    cap = SIZE_CAPS[flag]
+
+    def parse(text: str) -> list[int]:
+        try:
+            values = [int(tok) for tok in text.split(",") if tok != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("not a comma-separated integer list: %r" % text) from exc
+        if len(values) > cap:
+            raise argparse.ArgumentTypeError("%s takes at most %d entries" % (flag, cap))
+        return values
 
     return parse
 
@@ -99,9 +112,11 @@ def _tol(text: str) -> Fraction:
 def _matrix(text: str) -> subshift.AdjMatrix:
     try:
         rows = [[int(tok) for tok in row.split(",")] for row in text.split(";")]
-        return subshift.AdjMatrix(rows)
+        if len(rows) <= SIZE_CAPS["--matrix"]:
+            return subshift.AdjMatrix(rows)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("not a matrix like '0,1;1,1': %r" % text) from exc
+    raise argparse.ArgumentTypeError("--matrix takes at most %d rows" % SIZE_CAPS["--matrix"])
 
 
 def _json_line(payload) -> str:
@@ -355,7 +370,7 @@ def _cmd_fib_find_lambda(args):
 
 def _cmd_fib_check(args):
     kmax = args.kmax
-    fibmap.check_kmax(kmax)
+    fibmap.check_budget(args.lam, kmax)
     family = fibmap.interval_families(args.lam, kmax + 2)
     structure = fibmap.verify_structure(family, kmax)
     diam = fibmap.diameter_ratios(family, kmax)
@@ -404,7 +419,7 @@ def _required(flag: str, parse, **kwargs):
     return flag, {"type": parse, "required": True, **kwargs}
 
 
-_RHO = _required("--rho", _int_list)
+_RHO = _required("--rho", _int_list("--rho"))
 _S = _required("--s", _fraction)
 _NU = _required("--nu", _size("--nu"))
 _N = _required("--n", _size("--n"))
@@ -430,11 +445,11 @@ _COMMANDS = {
         "det": (_cmd_knead_det, [_RHO, _ORDER]),
         "matrix": (_cmd_knead_matrix, [_RHO, _ORDER]),
         # an immutable default: the cached parser hands it to every call
-        "unimodal": (_cmd_knead_unimodal, [("--prefix", {"type": _int_list, "default": ()}),
-                                           _required("--cycle", _int_list), _ORDER]),
+        "unimodal": (_cmd_knead_unimodal, [("--prefix", {"type": _int_list("--prefix"), "default": ()}),
+                                           _required("--cycle", _int_list("--cycle")), _ORDER]),
     }),
     "zeta": ("zeta functions", {
-        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list),
+        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list("--counts")),
                                                  ("--order", {**_ORDER[1], "default": None,
                                                               "help": "series order (default: number of counts)"})]),
         "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _N]),
@@ -442,8 +457,8 @@ _COMMANDS = {
                                                  ("--order", {**_ORDER[1], "default": 24,
                                                               "help": "number of counts N_1..N_order"})]),
         # exact, so --order is ignored; kept because bench/workloads.py and the README pass it
-        "mt-check": (_cmd_zeta_mt_check, [_RHO, _required("--zeta-num", _int_list),
-                                          _required("--zeta-den", _int_list),
+        "mt-check": (_cmd_zeta_mt_check, [_RHO, _required("--zeta-num", _int_list("--zeta-num")),
+                                          _required("--zeta-den", _int_list("--zeta-den")),
                                           ("--order", {**_ORDER[1], "help": "accepted and ignored"})]),
     }),
     "cubic": ("the cubic family", {
@@ -460,7 +475,7 @@ _COMMANDS = {
                                    ("--kmax", {"type": _size("--kmax"), "default": 6}), _FORMAT]),
     }),
     "series": ("series utilities", {
-        "detect-period": (_cmd_series_detect_period, [_required("--coeffs", _int_list)]),
+        "detect-period": (_cmd_series_detect_period, [_required("--coeffs", _int_list("--coeffs"))]),
     }),
 }
 

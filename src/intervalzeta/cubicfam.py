@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from ._value import Value
+# re-exported: `cubic report` tests its repeller pieces with cubicfam.pairwise_disjoint
+from ._value import Value, pairwise_disjoint
 from .series import Q, poly_compose, poly_divmod, poly_mul, poly_sub, poly_trim
 from .subshift import fib_language, vee_map
 
@@ -541,10 +542,3 @@ def repeller_pieces(s, depth: int) -> list[RepellerPiece]:
     for k in range(1, depth + 1):
         level = {w: image(w, *level[w[1:]]) for w in fib_language(k)}
     return [RepellerPiece(w, vee_map(w), Interval(lo, hi)) for w, (lo, hi) in level.items()]
-
-
-def pairwise_disjoint(intervals: Sequence[Interval]) -> bool:
-    """Whether no two intervals meet: sorted by lo, each one ends before
-    the next begins."""
-    ordered = sorted(intervals, key=lambda iv: iv.lo)
-    return all(u.hi < v.lo for u, v in zip(ordered, ordered[1:]))

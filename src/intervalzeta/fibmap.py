@@ -20,11 +20,13 @@ the exact one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from typing import Iterator, NamedTuple, Sequence
 
+from ._value import pairwise_disjoint
 from .subshift import fib_numbers
 
 Q = Fraction
@@ -334,12 +336,34 @@ MAX_DEPTH = 13
 MAX_KMAX = 9
 
 
+# the most bits, max(p, q).bit_length() * S(k_max + 4), that `fib check`
+# admits for a slope p/q: the family it builds to k_max + 2 runs an orbit of
+# S(k_max + 4) points, whose integers grow by about log2(p) bits per point.
+# MAX_KMAX was sized at 366 * S(13): the depth-12 slope at k_max 9, which
+# took 17 s.  Just inside the bound, a 589-bit slope at k_max 8 took 7.7 s
+# and a 954-bit one at k_max 7 6.3 s.  The 1995-bit slope at k_max 6, just
+# outside it, took 6.2 s, and the time grows about fourfold per k_max
+MAX_CHECK_BITS = 366 * 610
+
+
 def check_kmax(k_max: int) -> None:
     """Refuse a structure depth outside 0..MAX_KMAX, before any orbit is built."""
     if k_max < 0:
         raise ValueError("kmax must be >= 0")
     if k_max > MAX_KMAX:
         raise ValueError("kmax capped at %d" % MAX_KMAX)
+
+
+def check_budget(lam: Fraction, k_max: int) -> None:
+    """Refuse what `fib check` cannot finish in seconds, before any orbit is
+    built: a depth outside 0..MAX_KMAX, a slope outside (1, 2], or more
+    than MAX_CHECK_BITS."""
+    check_kmax(k_max)
+    lam = _check_slope(lam)
+    bits = max(lam.numerator, lam.denominator).bit_length()
+    if bits * _s(k_max + 4) > MAX_CHECK_BITS:
+        raise ValueError("a %d-bit slope at kmax %d: %d x S(%d) = %d bits, capped at %d"
+                         % (bits, k_max, bits, k_max + 4, bits * _s(k_max + 4), MAX_CHECK_BITS))
 
 
 def interval_families(lam: Fraction, k_max: int) -> IntervalFamily:
@@ -395,11 +419,11 @@ def verify_structure(family: IntervalFamily, k_max: int) -> StructureReport:
     M_{k+1} in M_k; pairwise disjointness within each level; injectivity of
     the iterates on [c_1, c_S(k)+1]; and that the pieces of M_{k+1} meeting
     I_k are exactly I_{k+1} and J_{k+1}.  Failures are reported, not thrown.
+    The disjointness and nesting checks are sweeps over pieces sorted by lo,
+    O(S(k) log S(k)) comparisons per level.
     """
     if k_max > family.k_max:
         raise ValueError("family was not built this deep")
-    orb = family.orbit
-    c = orb.point(0)
     checks: dict[str, bool] = {}
 
     ok = True
@@ -408,34 +432,18 @@ def verify_structure(family: IntervalFamily, k_max: int) -> StructureReport:
             ok = ok and family.D[kp - 1].contains(family.J[kp]) and family.I[k].contains(family.D[kp - 1])
     checks["J_in_D_in_I"] = ok
 
-    ok = True
-    for kp in range(1, k_max + 1):
-        for k in range(1, kp):
-            ok = ok and family.J[k].disjoint(family.J[kp])
-    checks["J_pairwise_disjoint"] = ok
+    checks["J_pairwise_disjoint"] = pairwise_disjoint([family.J[k] for k in range(1, k_max + 1)])
+    # each level sorted once: pairwise_disjoint re-sorts a sorted list in one pass
+    levels = [sorted(family.M[k], key=lambda iv: iv.lo) for k in range(0, k_max + 1)]
+    checks["M_level_disjoint"] = all(map(pairwise_disjoint, levels))
+    checks["M_nested"] = all(_nested(family.M[k + 1], levels[k]) for k in range(0, k_max))
 
-    ok = True
-    for k in range(0, k_max + 1):
-        pieces = family.M[k]
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                ok = ok and pieces[i].disjoint(pieces[j])
-    checks["M_level_disjoint"] = ok
-
-    ok = True
-    for k in range(0, k_max):
-        for piece in family.M[k + 1]:
-            ok = ok and any(parent.contains(piece) for parent in family.M[k])
-    checks["M_nested"] = ok
-
-    ok = True
-    for k in range(1, k_max + 1):
-        # T^j injective on [c_1, c_{S(k)+1}] iff no intermediate image straddles c
-        for i in range(0, _s(k - 1) - 1):
-            a, b = orb.point(1 + i), orb.point(_s(k) + 1 + i)
-            lo, hi = min(a, b), max(a, b)
-            ok = ok and not (lo < c < hi)
-    checks["T_injective_ranges"] = ok
+    # T^j injective on [c_1, c_{S(k)+1}] iff no intermediate image straddles
+    # c: the images are the pieces I_k^1..I_k^(S(k-1)-1) of M_k
+    c = Q(1, 2)
+    checks["T_injective_ranges"] = all(
+        not (p.lo < c < p.hi) for k in range(1, k_max + 1) for p in family.M[k][1 : _s(k - 1)]
+    )
 
     ok = True
     for k in range(1, k_max):
@@ -446,6 +454,15 @@ def verify_structure(family: IntervalFamily, k_max: int) -> StructureReport:
     checks["Mk1_meets_Ik_exactly_I_J"] = ok
 
     return StructureReport(all(checks.values()), checks)
+
+
+def _nested(pieces: Sequence[LabeledInterval], parents: Sequence[LabeledInterval]) -> bool:
+    """Whether each piece lies inside some parent (parents sorted by lo): it
+    does exactly when the furthest hi among the parents with lo <= piece.lo
+    reaches piece.hi, also where parents overlap."""
+    los = [p.lo for p in parents]
+    reach = list(accumulate((p.hi for p in parents), max))
+    return all((i := bisect_right(los, p.lo)) > 0 and reach[i - 1] >= p.hi for p in pieces)
 
 
 class DiameterReport(NamedTuple):

@@ -407,11 +407,13 @@ def detect_eventual_periodicity(coeffs: Sequence[int]) -> PeriodicityCertificate
         return None
     bound = depth // 3
     for k in range(1, bound + 1):
-        for p in range(0, bound + 1):
-            if depth - p < 2 * k:
-                break
-            if all(coeffs[i + k] == coeffs[i] for i in range(p, depth - k)):
-                return PeriodicityCertificate(preperiod=p, period=k, depth=depth)
+        # a period that holds from p holds from every later preperiod, and
+        # depth - p >= 2k for every p <= bound: test p = bound, then lower it
+        p = bound
+        if all(coeffs[i + k] == coeffs[i] for i in range(p, depth - k)):
+            while p > 0 and coeffs[p - 1] == coeffs[p - 1 + k]:
+                p -= 1
+            return PeriodicityCertificate(preperiod=p, period=k, depth=depth)
     return None
 
 

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import re
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 from intervalzeta import cubicfam, fibmap, kneading
 from intervalzeta.cli import _COMMANDS, SIZE_CAPS, build_parser, main
+from tests_support import bench_argvs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -134,15 +134,18 @@ class TestZeta:
         assert json.loads(out)["phi_factors"] == [1]
 
 
+# the vector of generate_vu(21), and one with m = 11 and N = 178
+OVER_KNEADING_CAPS = [
+    ("0,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,23,24,25,22,21,0",
+     "21 turning points, capped at 20"),
+    ("15,8,14,7,13,2,10,9,5,16,17,14,9,15,6,3,1,4", "N = sum of preperiods and periods = 178, capped at 160"),
+]
+
+
 class TestKnead:
     @pytest.mark.parametrize("command", [("knead", "det"), ("knead", "matrix"),
                                          ("zeta", "mt-check", "--zeta-num", "1", "--zeta-den", "1")])
-    # the vector of generate_vu(21), and one with m = 11 and N = 178
-    @pytest.mark.parametrize("rho, reason", [
-        ("0,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,24,22,23,24,25,22,21,0",
-         "21 turning points, capped at 20"),
-        ("15,8,14,7,13,2,10,9,5,16,17,14,9,15,6,3,1,4", "N = sum of preperiods and periods = 178, capped at 160"),
-    ])
+    @pytest.mark.parametrize("rho, reason", OVER_KNEADING_CAPS)
     def test_size_caps_refuse_before_the_determinant(self, capsys, monkeypatch, command, rho, reason):
         monkeypatch.setattr(kneading, "series_matrix_det", lambda rows: pytest.fail("the determinant ran"))
         code, out = run_cli(capsys, *command, "--rho", rho)
@@ -214,6 +217,19 @@ class TestCubicAndFib:
         code, out = run_cli(capsys, "fib", "check", "--lambda", "111/64", "--kmax", "90")
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "kmax capped at 9"}
+
+    def test_fib_check_slope_over_budget(self, capsys, monkeypatch):
+        # refused before any orbit is built: the integers of a 1995-bit
+        # slope's orbit at kmax 6, 1995 x S(10) bits, outgrow those of the
+        # 366-bit depth-12 slope at kmax 9, 366 x S(13); kmax 6 took 6.2 s
+        # and each kmax more about four times as long
+        monkeypatch.setattr(fibmap, "interval_families", None)
+        monkeypatch.setattr(fibmap, "orbit_order_holds", None)
+        lam = Fraction(3 * 2**1993 + 1, 2**1994)
+        code, out = run_cli(capsys, "fib", "check", "--lambda", str(lam), "--kmax", "6")
+        assert code == 1
+        assert json.loads(out) == {"ok": False,
+                                   "reason": "a 1995-bit slope at kmax 6: 1995 x S(10) = 287280 bits, capped at 223260"}
 
     @pytest.mark.parametrize("depth, reason", [("0", "depth must be >= 1"), ("14", "depth capped at 13"),
                                                ("20", "depth capped at 13")])
@@ -425,6 +441,22 @@ VALID = {
 SHARED = {"--order": "64", "--tol": "1e-3", "--depth": "3", "--format": "json"}
 
 
+LIST_FLAGS = {"--rho", "--prefix", "--cycle", "--counts", "--zeta-num", "--zeta-den", "--coeffs", "--matrix"}
+
+
+def _sized(flag, n):
+    """flag=value with a value of size n: n entries, an n x n matrix, or n."""
+    if flag == "--matrix":
+        return "%s=%s" % (flag, ";".join([",".join(["1"] * n)] * n))
+    return "%s=%s" % (flag, ",".join(["1"] * n) if flag in LIST_FLAGS else n)
+
+
+def _size_of(flag, parsed):
+    if flag == "--matrix":
+        return parsed.k
+    return len(parsed) if flag in LIST_FLAGS else parsed
+
+
 def _choices(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
@@ -460,29 +492,35 @@ class TestSurface:
         # the cap itself parses, one more is refused before the handler runs
         argv = name.split() + VALID[name]
         cap = SIZE_CAPS[flag]
-        assert getattr(build_parser().parse_args(argv + ["%s=%d" % (flag, cap)]), flag[2:]) == cap
+        parsed = getattr(build_parser().parse_args(argv + [_sized(flag, cap)]), flag[2:].replace("-", "_"))
+        assert _size_of(flag, parsed) == cap
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["%s=%d" % (flag, cap + 1)])
+            main(argv + [_sized(flag, cap + 1)])
         assert exc.value.code == 2
-        assert "%s must be <= %d" % (flag, cap) in capsys.readouterr().err
+        if flag in LIST_FLAGS:
+            message = "%s takes at most %d %s" % (flag, cap, "rows" if flag == "--matrix" else "entries")
+        else:
+            message = "%s must be <= %d" % (flag, cap)
+        assert message in capsys.readouterr().err
 
-    def test_size_caps_leave_room(self, monkeypatch):
-        # each cap is at least ten times the largest value the README, the
-        # output pins and the benchmark's workloads pass
-        spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        argvs = [job.argv for w in workloads.GENERATORS for seed in (1, 2, 3) for job in workloads.build(w, seed)]
+    def test_size_caps_leave_room(self):
+        # each cap is at least ten times the largest value (the longest list,
+        # the most rows of --matrix) the README, the tests and the
+        # benchmark's workloads pass
+        argvs = bench_argvs((1, 2, 3, *range(101, 111)))
         argvs += [cmd.split() for cmd in (*PINNED_CUBIC_OUTPUT, *PINNED_EXACT_OUTPUT)]
         argvs += [line.split() for line in (ROOT / "README.md").read_text().splitlines()
                   if line.startswith("intervalzeta ")]
+        argvs += [["--rho", rho] for rho, _ in OVER_KNEADING_CAPS]
         used = {flag: 0 for flag in SIZE_CAPS}
         for argv in argvs:
-            for flag, value in zip(argv, argv[1:]):
-                if flag in used and re.fullmatch(r"\d+", value):
+            pairs = [arg.split("=", 1) for arg in argv if arg.startswith("--") and "=" in arg]
+            for flag, value in [*zip(argv, argv[1:]), *pairs]:
+                if flag in LIST_FLAGS:
+                    used[flag] = max(used[flag], len(value.split(";" if flag == "--matrix" else ",")))
+                elif flag in used and re.fullmatch(r"\d+", value):
                     used[flag] = max(used[flag], int(value))
-        assert used["--order"] == 192 and used["--n"] == 12
+        assert used["--order"] == 192 and used["--n"] == 12 and used["--rho"] == 27 and used["--matrix"] == 3
         assert all(SIZE_CAPS[flag] >= 10 * used[flag] for flag in SIZE_CAPS)
 
     @pytest.mark.parametrize("name", sorted(OWN))

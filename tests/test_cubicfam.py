@@ -32,6 +32,7 @@ from intervalzeta.cubicfam import (
 from intervalzeta.series import poly_mul
 from intervalzeta.subshift import fib_language, vee_map
 from intervalzeta.zeta import counts_from_zeta, zeta_vu_closed_form
+from tests_support import pairwise_check
 
 S_STAR_BRACKET = s_star(1e-9).bracket
 BRANCH_PARAMETERS = [Q(1), Q(6, 5), S_STAR_BRACKET[0]]
@@ -46,12 +47,6 @@ def apply_word(bs, word, interval):
         a, b = phi(lo), phi(hi)
         lo, hi = min(a, b), max(a, b)
     return Interval(lo, hi)
-
-
-def pairwise_check(intervals):
-    return all(
-        intervals[i].disjoint(intervals[j]) for i in range(len(intervals)) for j in range(i + 1, len(intervals))
-    )
 
 
 def random_parameters(count, seed=7):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 from fractions import Fraction as Q
 from itertools import islice
 
@@ -18,7 +20,15 @@ from intervalzeta.fibmap import (
     target_kneading,
     verify_structure,
 )
-from tests_support import PAPER_M_LABELS, addresses, parity_lex_cmp, tent_map
+from intervalzeta.cli import main
+from tests_support import (
+    PAPER_M_LABELS,
+    addresses,
+    bench_argvs,
+    parity_lex_cmp,
+    structure_checks_pairwise,
+    tent_map,
+)
 
 # find_fib_lambda(d) at the default tol as (str(lam), str(lo), str(hi)) of its
 # exact bisection.  Through depth 7 the tol decides where it stops.
@@ -305,6 +315,23 @@ class TestIntervalFamilies:
         family = interval_families(Q(111, 64), 6)
         assert not verify_structure(family, 6).ok
 
+    def test_budget_bounds_bits_times_orbit_length(self, fib_lambda_12):
+        # the depth-12 slope (366 bits) at kmax 9 is the most admitted; the
+        # README runs it at kmax 8
+        assert max(fib_lambda_12.numerator, fib_lambda_12.denominator).bit_length() == 366
+        fibmap.check_budget(fib_lambda_12, 8)
+        fibmap.check_budget(fib_lambda_12, 9)
+        reason = r"a 367-bit slope at kmax 9: 367 x S\(13\) = 223870 bits, capped at 223260"
+        with pytest.raises(ValueError, match=reason):
+            fibmap.check_budget(Q(2**366 + 1, 2**366), 9)
+        fibmap.check_budget(Q(2**591 + 1, 2**591), 8)  # 592 x S(12) = 223184
+        with pytest.raises(ValueError, match="a 593-bit slope at kmax 8"):
+            fibmap.check_budget(Q(2**592 + 1, 2**592), 8)
+        with pytest.raises(ValueError, match="slope must be in"):
+            fibmap.check_budget(Q(2**4000 + 1, 2**1000), 0)
+        with pytest.raises(ValueError, match="kmax capped at 9"):
+            fibmap.check_budget(Q(3, 2), 10)
+
     def test_kmax_outside_range_is_refused(self):
         fibmap.check_kmax(0)
         fibmap.check_kmax(fibmap.MAX_KMAX)
@@ -312,6 +339,67 @@ class TestIntervalFamilies:
             fibmap.check_kmax(-1)
         with pytest.raises(ValueError, match="kmax capped at 9"):
             fibmap.check_kmax(fibmap.MAX_KMAX + 1)
+
+
+def assert_sweeps_match_pairwise(family, k_maxes):
+    for k_max in k_maxes:
+        report = verify_structure(family, k_max)
+        assert list(report.checks.items()) == list(structure_checks_pairwise(family, k_max).items()), k_max
+        assert report.ok == all(report.checks.values())
+
+
+def random_slopes(count, seed=17):
+    rng = random.Random(seed)
+    slopes = []
+    for _ in range(count):
+        q = rng.randint(1, 400)
+        slopes.append(Q(rng.randint(q + 1, 2 * q), q))
+    return slopes
+
+
+class TestStructureSweeps:
+    """verify_structure's sorted sweeps against the all-pairs reference."""
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_fibonacci_slopes(self, depth):
+        family = interval_families(find_fib_lambda(depth).lam, 8)
+        assert_sweeps_match_pairwise(family, range(0, 9))
+
+    def test_bench_slopes(self, capsys):
+        # the fib-tent chains: find-lambda --depth d at the CLI's tol, then
+        # fib check --kmax k on the slope it prints
+        chains, argvs = {}, bench_argvs()
+        for find, check in zip(argvs, argvs[1:]):
+            if find[:2] == ("fib", "find-lambda") and check[:2] == ("fib", "check"):
+                chains.setdefault(find, set()).add(int(check[check.index("--kmax") + 1]))
+        assert sorted(len(k_maxes) for k_maxes in chains.values()) == [1, 2, 4, 4]
+        for find, k_maxes in chains.items():
+            assert main(list(find)) == 0
+            lam = Q(json.loads(capsys.readouterr().out)["lambda"])
+            fibmap.check_budget(lam, max(k_maxes))
+            assert_sweeps_match_pairwise(interval_families(lam, max(k_maxes)), sorted(k_maxes))
+
+    @pytest.mark.parametrize("lam", random_slopes(64), ids=str)
+    def test_random_slopes(self, lam):
+        assert_sweeps_match_pairwise(interval_families(lam, 6), range(0, 7))
+
+    def test_failing_checks_are_covered(self):
+        failed = {name for lam in random_slopes(64) for name, ok in
+                  verify_structure(interval_families(lam, 6), 6).checks.items() if not ok}
+        assert failed == set(structure_checks_pairwise(interval_families(Q(2), 0), 0))
+
+    def test_nesting_with_overlapping_parents(self):
+        def iv(lo, hi):
+            return fibmap.LabeledInterval("x", (0, 0), Q(lo), Q(hi))
+
+        parents = [iv(0, 5), iv(1, 2), iv(3, 9)]  # sorted by lo
+        # inside the union of (0, 5) and (3, 9), but inside neither
+        assert not fibmap._nested([iv(2, 7)], parents)
+        # inside (0, 5), although (1, 2), the last parent to start before it, ends sooner
+        assert fibmap._nested([iv(1, 4)], parents)
+        # starts before every parent
+        assert not fibmap._nested([iv(-1, 0)], parents)
+        assert fibmap._nested([iv(4, 9), iv(0, 5), iv(1, 4)], parents)
 
 
 class TestDiameterRatios:

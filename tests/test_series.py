@@ -117,6 +117,32 @@ class TestDetectPeriodicity:
         assert all(seq[i + k] == seq[i] for i in range(p, len(seq) - k))
 
     @given(
+        st.lists(st.integers(-1, 1), max_size=12),
+        st.lists(st.integers(-1, 1), min_size=1, max_size=5),
+        st.integers(0, 40),
+        st.lists(st.integers(-1, 1), max_size=3),
+    )
+    @settings(max_examples=400)
+    @example([], [1], 0, [])
+    @example([0] * 4, [1], 8, [])
+    @example([0] * 5, [1], 7, [])
+    @example([1] * 11, [1], 0, [2])
+    def test_certificate_equals_the_all_pairs_scan(self, prefix, cycle, repeats, tail):
+        # an eventually periodic run, cut anywhere, with a few arbitrary
+        # coefficients after it
+        seq = prefix + [cycle[i % len(cycle)] for i in range(repeats)] + tail
+        assert detect_eventual_periodicity(seq) == ref.detect_period_all_pairs(seq)
+
+    def test_one_check_per_period(self, monkeypatch):
+        # every preperiod fails for every period: the scan of every pair
+        # made about depth^3 / 18 comparisons
+        seq = [1] * 2999 + [2]
+        checks = []
+        monkeypatch.setattr(series, "all", lambda it: checks.append(1) or all(it), raising=False)
+        assert detect_eventual_periodicity(seq) is None
+        assert len(checks) == len(seq) // 3
+
+    @given(
         st.lists(st.integers(-2, 2), min_size=0, max_size=4),
         st.lists(st.integers(-2, 2), min_size=1, max_size=4),
     )

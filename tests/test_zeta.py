@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests_support as ref
+from intervalzeta.combinatorics import count_fixed_points_of_iterate, generate_vu, pl_model
 from intervalzeta.series import RationalFn, poly_mul, rf_to_series
 from intervalzeta.subshift import fib_adjacency, sft_periodic_counts
 from intervalzeta.zeta import (
@@ -77,6 +78,14 @@ class TestClosedForm:
     def test_rejects_small_nu(self):
         with pytest.raises(ValueError):
             zeta_vu_closed_form(1)
+
+    @pytest.mark.parametrize("nu, p_max", [(2, 5), (3, 5), (4, 4), (5, 4)])
+    def test_pinned_to_the_pl_model(self, nu, p_max):
+        # without its factor 1/(1 - t^3) the closed form counts the fixed
+        # points of the iterates of the PL model of generate_vu(nu)
+        model = pl_model(generate_vu(nu))
+        rf = zeta_vu_closed_form(nu) * RationalFn.from_poly((1, 0, 0, -1))
+        assert counts_from_zeta(rf, p_max) == [count_fixed_points_of_iterate(model, p) for p in range(1, p_max + 1)]
 
     def test_counts_are_nonnegative_integers(self):
         for nu in range(2, 9):

@@ -2,18 +2,26 @@
 plain-Fraction reference implementations of the integer series kernels, the
 Laplace expansion that series_matrix_det replaced, the unimodal sign
 sequence and per-column determinants the kneading tests compare against,
-the closed form of the virtually unimodal family, and the exact tent-map
-references of the Fibonacci bisection."""
+the closed form of the virtually unimodal family, the exact tent-map
+references of the Fibonacci bisection, the scan of every (period,
+preperiod) pair that detect_eventual_periodicity replaced, the all-pairs
+disjointness and structure checks that the sorted sweeps replaced, and the
+argv of the benchmark's jobs."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from math import lcm
+from pathlib import Path
 
 from intervalzeta.combinatorics import Combinatorics, PLModel, turning_points
-from intervalzeta.fibmap import _C, _R, TentOrbit
+from intervalzeta.fibmap import _C, _R, IntervalFamily, TentOrbit, _s
 from intervalzeta.kneading import KneadingData
-from intervalzeta.series import TruncSeries, _convolve, poly_trim
+from intervalzeta.series import PeriodicityCertificate, TruncSeries, _convolve, poly_trim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 Q = Fraction
 
@@ -36,6 +44,19 @@ CUBIC_COUNTS = [1, 5, 7, 9, 11, 23]
 
 # |fib_language(n)| for n = 1..10
 FIB_WORD_COUNTS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+
+
+def bench_argvs(seeds=(1, 2, 3)) -> list[tuple[str, ...]]:
+    """The CLI argv of every job bench/workloads.py builds for the seeds, in
+    job order; a `fib check` argv holds the placeholder of the slope."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [job.argv for w in workloads.GENERATORS for seed in seeds for job in workloads.build(w, seed)]
 
 
 def unimodal_eps(model: PLModel, order: int) -> list[int]:
@@ -233,6 +254,24 @@ def rf_to_series(rf, order: int) -> TruncSeries:
     return TruncSeries(order, tuple(out))
 
 
+def detect_period_all_pairs(coeffs) -> PeriodicityCertificate | None:
+    """detect_eventual_periodicity as every (period, preperiod) pair is
+    scanned: the smallest period, then the smallest preperiod, each at most
+    len(coeffs) // 3, with the period repeating twice past the preperiod."""
+    coeffs = list(coeffs)
+    depth = len(coeffs)
+    if depth == 0:
+        return None
+    bound = depth // 3
+    for k in range(1, bound + 1):
+        for p in range(0, bound + 1):
+            if depth - p < 2 * k:
+                break
+            if all(coeffs[i + k] == coeffs[i] for i in range(p, depth - k)):
+                return PeriodicityCertificate(preperiod=p, period=k, depth=depth)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # closed form of the virtually unimodal family, which generate_vu derives from
 # the marked-orbit construction
@@ -287,3 +326,56 @@ def parity_lex_cmp(a, b) -> int:
         elif x == _C:
             break
     return 0
+
+
+def pairwise_check(intervals) -> bool:
+    """Whether no two intervals meet, by testing every pair."""
+    return all(
+        intervals[i].disjoint(intervals[j]) for i in range(len(intervals)) for j in range(i + 1, len(intervals))
+    )
+
+
+def structure_checks_pairwise(family: IntervalFamily, k_max: int) -> dict[str, bool]:
+    """The checks of fibmap.verify_structure, in its key order, with every
+    disjointness and nesting test made on all pairs of pieces and the
+    injectivity test on recomputed orbit points."""
+    orb = family.orbit
+    c = orb.point(0)
+    checks = {}
+
+    ok = True
+    for kp in range(2, k_max + 1):
+        for k in range(1, kp):
+            ok = ok and family.D[kp - 1].contains(family.J[kp]) and family.I[k].contains(family.D[kp - 1])
+    checks["J_in_D_in_I"] = ok
+
+    ok = True
+    for kp in range(1, k_max + 1):
+        for k in range(1, kp):
+            ok = ok and family.J[k].disjoint(family.J[kp])
+    checks["J_pairwise_disjoint"] = ok
+
+    checks["M_level_disjoint"] = all(pairwise_check(family.M[k]) for k in range(0, k_max + 1))
+
+    ok = True
+    for k in range(0, k_max):
+        for piece in family.M[k + 1]:
+            ok = ok and any(parent.contains(piece) for parent in family.M[k])
+    checks["M_nested"] = ok
+
+    ok = True
+    for k in range(1, k_max + 1):
+        for i in range(0, _s(k - 1) - 1):
+            a, b = orb.point(1 + i), orb.point(_s(k) + 1 + i)
+            lo, hi = min(a, b), max(a, b)
+            ok = ok and not (lo < c < hi)
+    checks["T_injective_ranges"] = ok
+
+    ok = True
+    for k in range(1, k_max):
+        hits = [p for p in family.M[k + 1] if not p.disjoint(family.I[k])]
+        names = {p.name for p in hits}
+        ok = ok and names == {"I%d" % (k + 1), "J%d" % (k + 1)}
+        ok = ok and all(family.I[k].contains(p) for p in hits)
+    checks["Mk1_meets_Ik_exactly_I_J"] = ok
+    return checks
