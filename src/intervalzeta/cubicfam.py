@@ -74,10 +74,23 @@ class CubicParam(NamedTuple):
     c_s: Fraction
 
 
+# the most bits, max(p, q).bit_length(), of a parameter s = p/q: every cubic
+# command composes F_s exactly, at a cost that grows about as the square of
+# the bits.  At 1024 bits, fresh processes took 1.5-1.8 s for `cubic repeller
+# --depth 12`, 3.4-4.1 s for `cubic report --nmax 16 --depth 12`, 0.9-1.1 s
+# for `cubic count --n 16`, and 3.0-4.1 s for an 80-step `cubic sweep` with
+# 1020-1022-bit inner parameters; at 2000 bits `cubic repeller --depth 2`
+# took 3.9 s and such a sweep 8.0 s
+MAX_PARAM_BITS = 1024
+
+
 def _params(s) -> CubicParam:
     s = s if isinstance(s, Fraction) else Q(s)
     if s < 1:
         raise ValueError("parameter s must be >= 1")
+    bits = max(s.numerator, s.denominator).bit_length()
+    if bits > MAX_PARAM_BITS:
+        raise ValueError("a %d-bit parameter s, capped at %d bits" % (bits, MAX_PARAM_BITS))
     w = 1 / (s * s * (s + 1))
     a = -1 + w
     b = -s - w

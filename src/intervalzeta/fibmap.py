@@ -318,7 +318,6 @@ class LabeledInterval(NamedTuple):
 class IntervalFamily(NamedTuple):
     lam: Fraction
     k_max: int
-    orbit: TentOrbit
     I: dict[int, LabeledInterval]
     J: dict[int, LabeledInterval]
     D: dict[int, LabeledInterval]
@@ -346,19 +345,14 @@ MAX_KMAX = 9
 MAX_CHECK_BITS = 366 * 610
 
 
-def check_kmax(k_max: int) -> None:
-    """Refuse a structure depth outside 0..MAX_KMAX, before any orbit is built."""
-    if k_max < 0:
-        raise ValueError("kmax must be >= 0")
-    if k_max > MAX_KMAX:
-        raise ValueError("kmax capped at %d" % MAX_KMAX)
-
-
 def check_budget(lam: Fraction, k_max: int) -> None:
     """Refuse what `fib check` cannot finish in seconds, before any orbit is
     built: a depth outside 0..MAX_KMAX, a slope outside (1, 2], or more
     than MAX_CHECK_BITS."""
-    check_kmax(k_max)
+    if k_max < 0:
+        raise ValueError("kmax must be >= 0")
+    if k_max > MAX_KMAX:
+        raise ValueError("kmax capped at %d" % MAX_KMAX)
     lam = _check_slope(lam)
     bits = max(lam.numerator, lam.denominator).bit_length()
     if bits * _s(k_max + 4) > MAX_CHECK_BITS:
@@ -404,7 +398,7 @@ def interval_families(lam: Fraction, k_max: int) -> IntervalFamily:
             base = "J%d" % k if n == 0 else "J%d^%d" % (k, n)
             pieces.append(mk(base, _s(k - 1) + n, _s(k + 1) + _s(k - 1) + n))
         fam_m[k] = pieces
-    return IntervalFamily(lam, k_max, orb, fam_i, fam_j, fam_d, fam_m)
+    return IntervalFamily(lam, k_max, fam_i, fam_j, fam_d, fam_m)
 
 
 class StructureReport(NamedTuple):

@@ -121,14 +121,6 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
-    """a / g for a primitive g that divides a: by Gauss's lemma the quotient
-    has integer coefficients, c_i lc^(i-e) from the pseudo-quotient digits."""
-    c, _ = _pseudo_divmod(a, g)
-    lc, e = g[-1], len(c)
-    return [x * lc**i // lc**e for i, x in enumerate(c)]
-
-
 def poly_compose(p, q) -> tuple[Fraction, ...]:
     """p(q(t)) by Horner on integer polynomials: with p = a/da and q = b/db of
     degree D in p, p(q) = sum_i a_i b^i db^(D-i) / (da db^D)."""
@@ -342,7 +334,9 @@ class RationalFn(Value):
             raise ValueError("denominator must have nonzero constant term")
         g = _gcd_ints(a, b)
         if len(g) > 1:
-            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+            # g divides b, so g[0] != 0; by Gauss's lemma the primitive g
+            # leaves integer quotients
+            a, b = _series_quotient(a, g, len(a) - len(g)), _series_quotient(b, g, len(b) - len(g))
         c = b[0]
         object.__setattr__(self, "num", tuple(Q(x, c) for x in a))
         object.__setattr__(self, "den", tuple(Q(x, c) for x in b))

@@ -67,10 +67,28 @@ def fib_adjacency() -> AdjMatrix:
     return AdjMatrix([[0, 1], [1, 1]])
 
 
+# the most work, n^2 b^2 (k^3 + n), that sft_periodic_counts admits for a
+# k x k matrix whose largest entry has b bits (at least 1): its n products
+# make k^3 multiplications each of an entry of up to about n b bits by one of
+# b bits, and printing the n counts, of up to about n b bits, costs about
+# n^3 b^2 in CPython's quadratic int-to-str.  Fresh `zeta sft` processes
+# took 4.7-7.3 s at this bound: k = 1, 2, 5, 10 and 30 at --n 120 with
+# entries of 2395, 2330, 1683, 787 and 162 bits, and k = 30 at --n 57 with
+# 333 bits.  A 30 x 30 matrix of 100-digit entries at --n 120 (4.3e13) ran
+# 31 s.
+MAX_SFT_WORK = 10**13
+
+
 def sft_periodic_counts(a: AdjMatrix, n: int) -> list[int]:
-    """Periodic-point counts N_1..N_n of the edge shift: traces of powers."""
+    """Periodic-point counts N_1..N_n of the edge shift: traces of powers.
+    Refuses, before the first product, more work than MAX_SFT_WORK."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    bits = max(1, max((e for r in a.rows for e in r), default=0).bit_length())
+    work = n**2 * bits**2 * (a.k**3 + n)
+    if work > MAX_SFT_WORK:
+        raise ValueError("a %d x %d matrix of %d-bit entries at n = %d: n^2 b^2 (k^3 + n) = %d, capped at %d"
+                         % (a.k, a.k, bits, n, work, MAX_SFT_WORK))
     out = []
     acc = a
     for _ in range(n):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalzeta import cubicfam, fibmap, kneading
+from intervalzeta import cubicfam, fibmap, kneading, subshift, zeta
 from intervalzeta.cli import _COMMANDS, SIZE_CAPS, build_parser, main
 from tests_support import bench_argvs
 
@@ -68,6 +68,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+@contextlib.contextmanager
+def no_int_str_limit():
+    """Lift the interpreter's int-to-str digit limit, to read and print
+    results of more than 4300 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestComb:
     def test_generate_example(self, capsys):
         code, out = run_cli(capsys, "comb", "generate", "--nu", "2")
@@ -104,6 +116,30 @@ class TestZeta:
         code, out = run_cli(capsys, "zeta", "sft", "--matrix", "0,1;1,1", "--n", "4")
         assert code == 0
         assert json.loads(out) == {"counts": [1, 3, 4, 7]}
+
+    def test_sft_beyond_int_str_limit(self, capsys):
+        # counts of up to 4801 digits print whole
+        code, out = run_cli(capsys, "zeta", "sft", "--matrix", "%d,1;1,1" % 10**40, "--n", "120")
+        assert code == 0
+        counts = subshift.sft_periodic_counts(subshift.AdjMatrix([[10**40, 1], [1, 1]]), 120)
+        with no_int_str_limit():
+            assert json.loads(out) == {"counts": counts}
+
+    def test_from_counts_beyond_int_str_limit(self, capsys):
+        counts = [10**4000 - 1] * 5
+        code, out = run_cli(capsys, "zeta", "from-counts", "--counts", ",".join(map(str, counts)))
+        assert code == 0
+        with no_int_str_limit():
+            assert json.loads(out) == {"counts": counts, "zeta": zeta.zeta_from_counts(counts, 5).to_json()}
+
+    def test_sft_over_budget_is_refused(self, capsys, monkeypatch):
+        # refused before the first product; at --n 120 this ran 31 s
+        monkeypatch.setattr(subshift.AdjMatrix, "__matmul__", lambda a, b: pytest.fail("a product ran"))
+        row = ",".join([str(10**100 - 1)] * 30)
+        code, out = run_cli(capsys, "zeta", "sft", "--matrix", ";".join([row] * 30), "--n", "120")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "a 30 x 30 matrix of 333-bit entries at n = 120: n^2 b^2 "
+                                                          "(k^3 + n) = 43305259392000, capped at 10000000000000"}
 
     def test_closed_form(self, capsys):
         code, out = run_cli(capsys, "zeta", "closed-form", "--nu", "2")
@@ -195,14 +231,10 @@ class TestCubicAndFib:
         assert code == 0
         got = json.loads(out)["diameters"]
         diam = fibmap.diameter_ratios(fibmap.interval_families(Fraction(lam), 11), 9)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        with no_int_str_limit():
             assert got["nu"] == [str(v) for v in diam.nu]
             assert got["C"] == [str(v) for v in diam.C]
             assert got["residuals"] == [str(v) for v in diam.residuals]
-        finally:
-            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("kmax", ["-1", "-2", "-3"])
     def test_fib_check_negative_kmax(self, capsys, kmax):
@@ -214,9 +246,10 @@ class TestCubicAndFib:
         # refused before the orbit is built, which at kmax 90 would need
         # S(94), about 5e19, points
         monkeypatch.setattr(fibmap, "interval_families", None)
-        code, out = run_cli(capsys, "fib", "check", "--lambda", "111/64", "--kmax", "90")
-        assert code == 1
-        assert json.loads(out) == {"ok": False, "reason": "kmax capped at 9"}
+        for kmax in ("10", "90", "91", "9" * 4000):
+            code, out = run_cli(capsys, "fib", "check", "--lambda", "111/64", "--kmax", kmax)
+            assert code == 1
+            assert json.loads(out) == {"ok": False, "reason": "kmax capped at 9"}
 
     def test_fib_check_slope_over_budget(self, capsys, monkeypatch):
         # refused before any orbit is built: the integers of a 1995-bit
@@ -243,13 +276,31 @@ class TestCubicAndFib:
     @pytest.mark.parametrize("argv, reason", [
         (("cubic", "count", "--s", "6/5", "--n", "120"), "n capped at 16"),
         (("cubic", "report", "--s", "6/5", "--nmax", "60"), "nmax capped at 16"),
-    ], ids=["count", "report"])
+        (("cubic", "report", "--s", "6/5", "--nmax", "61"), "nmax capped at 16"),
+    ], ids=["count", "report", "report-61"])
     def test_cubic_period_above_cap(self, capsys, monkeypatch, argv, reason):
         monkeypatch.setattr(cubicfam, "cubic_family", None)
         monkeypatch.setattr(cubicfam, "filled_julia_endpoints", None)
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": reason}
+
+    @pytest.mark.parametrize("argv", [("report", "--s", "{s}"), ("sweep", "--from", "{s}", "--to", "2", "--steps", "2"),
+                                      ("count", "--s", "{s}", "--n", "2"), ("repeller", "--s", "{s}")],
+                             ids=lambda argv: argv[0])
+    def test_cubic_parameter_over_bits(self, capsys, monkeypatch, argv):
+        # refused before F_s is composed; a 2000-bit s took 3.9 s in `cubic repeller`
+        d = 2**1021 + 1
+        monkeypatch.setattr(cubicfam, "poly_compose", lambda p, q: pytest.fail("F_s was composed"))
+        code, out = run_cli(capsys, "cubic", *[a.format(s=Fraction(12 * d + 1, 10 * d)) for a in argv])
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "a 1025-bit parameter s, capped at 1024 bits"}
+
+    def test_cubic_parameter_at_bits_cap(self, capsys):
+        d = 2**1021 + 1
+        code, out = run_cli(capsys, "cubic", "count", "--s", str(Fraction(6 * d + 1, 5 * d)), "--n", "2")
+        assert code == 0
+        assert json.loads(out)["count"] == 5
 
     @pytest.mark.parametrize("nmax", ["0", "-1"])
     def test_cubic_report_nonpositive_nmax(self, capsys, monkeypatch, nmax):
@@ -328,7 +379,10 @@ class TestContract:
         assert exc.value.code == 2
 
     def test_config_invariants(self, capsys):
-        cases = [(["knead", "det", "--rho", "0,2,0", "--order", "4"], "--order must be >= 8")]
+        cases = [(["knead", "det", "--rho", "0,2,0", "--order", "4"], "--order must be >= 8"),
+                 (["cubic", "sweep", "--from", "1", "--to", "2", "--steps", "0"], "--steps must be >= 1"),
+                 (["cubic", "report", "--s", "1", "--nmax", "x"], "argument --nmax: invalid int value: 'x'"),
+                 (["fib", "check", "--lambda", "3/2", "--kmax", "1.5"], "argument --kmax: invalid int value: '1.5'")]
         cases += [
             (["fib", "find-lambda", "--depth", "3", "--tol=" + tol], "--tol must be > 0")
             for tol in ("0", "nan", "inf", "-inf")
@@ -352,6 +406,34 @@ class TestContract:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert "argument --nu: --nu must be <= 100" in captured.err
+
+    def test_int_str_limit_is_restored(self, capsys, monkeypatch):
+        # the handler runs without the limit, and every way out of main
+        # restores it; parsing keeps it
+        limit = sys.get_int_max_str_digits()
+        seen = []
+        counts = subshift.sft_periodic_counts
+        monkeypatch.setattr(subshift, "sft_periodic_counts",
+                            lambda a, n: seen.append(sys.get_int_max_str_digits()) or counts(a, n))
+        assert run_cli(capsys, "zeta", "sft", "--matrix", "0,1;1,1", "--n", "3")[0] == 0
+        assert seen == [0] and sys.get_int_max_str_digits() == limit
+        assert run_cli(capsys, "fib", "check", "--lambda", "111/64", "--kmax", "-1")[0] == 1
+        assert sys.get_int_max_str_digits() == limit
+        monkeypatch.setattr(subshift, "sft_periodic_counts", lambda a, n: {}[n])
+        with pytest.raises(KeyError):
+            main(["zeta", "sft", "--matrix", "0,1;1,1", "--n", "3"])
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "from-counts", "--counts", "9" * (limit + 1)])
+        assert exc.value.code == 2
+        assert "argument --counts: not a comma-separated integer list" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_interpreter_without_int_str_limit(self, capsys, monkeypatch):
+        # Python before 3.10.7 has no limit to lift
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert run_cli(capsys, "zeta", "sft", "--matrix", "0,1;1,1", "--n", "3") == (0, '{"counts":[1,3,4]}\n')
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"

@@ -79,6 +79,22 @@ class TestExactIdentities:
         with pytest.raises(ValueError):
             cubic_family(Q(1, 2))
 
+    def test_parameter_bits_capped_before_any_composition(self, monkeypatch):
+        # s near 6/5 with a numerator of MAX_PARAM_BITS bits is admitted, one
+        # bit more is refused by every entry point before F_s is composed
+        d = 2**1021 + 1
+        at_cap, over = Q(6 * d + 1, 5 * d), Q(12 * d + 1, 10 * d)
+        assert max(at_cap.numerator, at_cap.denominator).bit_length() == cubicfam.MAX_PARAM_BITS == 1024
+        _, par = cubic_family(at_cap)
+        assert par.s == at_cap
+        monkeypatch.setattr(cubicfam, "poly_compose", lambda p, q: pytest.fail("F_s was composed"))
+        reason = "a 1025-bit parameter s, capped at 1024 bits"
+        for call in (lambda: cubic_family(over), lambda: filled_julia_endpoints(over),
+                     lambda: count_periodic(over, 2), lambda: periodic_counts(over, -1.0, 1.0, 2),
+                     lambda: repeller_pieces(over, 2)):
+            with pytest.raises(ValueError, match=reason):
+                call()
+
     def test_critical_value_at_one(self):
         assert critical_value(1) == -1
 

@@ -333,12 +333,15 @@ class TestIntervalFamilies:
             fibmap.check_budget(Q(3, 2), 10)
 
     def test_kmax_outside_range_is_refused(self):
-        fibmap.check_kmax(0)
-        fibmap.check_kmax(fibmap.MAX_KMAX)
+        lam = Q(3, 2)
+        fibmap.check_budget(lam, 0)
+        fibmap.check_budget(lam, fibmap.MAX_KMAX)
         with pytest.raises(ValueError, match="kmax must be >= 0"):
-            fibmap.check_kmax(-1)
-        with pytest.raises(ValueError, match="kmax capped at 9"):
-            fibmap.check_kmax(fibmap.MAX_KMAX + 1)
+            fibmap.check_budget(lam, -1)
+        # refused before S(kmax + 4), about 1.618^kmax, is built
+        for k_max in (fibmap.MAX_KMAX + 1, 10**18):
+            with pytest.raises(ValueError, match="kmax capped at 9"):
+                fibmap.check_budget(lam, k_max)
 
 
 def assert_sweeps_match_pairwise(family, k_maxes):

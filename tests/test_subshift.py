@@ -75,6 +75,16 @@ class TestPeriodicCounts:
     def test_full_shift(self):
         assert sft_periodic_counts(AdjMatrix([[2]]), 5) == [2, 4, 8, 16, 32]
 
+    def test_work_over_budget_is_refused_before_any_product(self, monkeypatch):
+        # n^2 b^2 (k^3 + n) at k = 1, n = 100: 3146 bits is the most admitted
+        assert sft_periodic_counts(AdjMatrix([[2**3145]]), 100) == [2 ** (3145 * j) for j in range(1, 101)]
+        monkeypatch.setattr(AdjMatrix, "__matmul__", lambda a, b: pytest.fail("a product ran"))
+        with pytest.raises(ValueError, match=r"a 1 x 1 matrix of 3147-bit entries at n = 100: "
+                                             r"n\^2 b\^2 \(k\^3 \+ n\) = 10002645090000, capped at 10000000000000"):
+            sft_periodic_counts(AdjMatrix([[2**3146]]), 100)
+        with pytest.raises(ValueError, match="a 30 x 30 matrix of 333-bit entries at n = 120"):
+            sft_periodic_counts(AdjMatrix([[10**100 - 1] * 30] * 30), 120)
+
 
 class TestVeeMap:
     @pytest.mark.parametrize(

@@ -339,7 +339,7 @@ def structure_checks_pairwise(family: IntervalFamily, k_max: int) -> dict[str, b
     """The checks of fibmap.verify_structure, in its key order, with every
     disjointness and nesting test made on all pairs of pieces and the
     injectivity test on recomputed orbit points."""
-    orb = family.orbit
+    orb = TentOrbit(family.lam, _s(k_max + 1))
     c = orb.point(0)
     checks = {}
 
