@@ -25,8 +25,7 @@ class Value:
         return hash(self._values())
 
     def __repr__(self):
-        # a private field, such as BranchSystem._f, stays out of the repr
-        shown = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__ if not name.startswith("_"))
+        shown = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
         return "%s(%s)" % (type(self).__name__, ", ".join(shown))
 
     def __reduce__(self):

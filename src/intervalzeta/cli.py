@@ -103,7 +103,7 @@ def _tol(text: str) -> Fraction:
         return Fraction(1)
     # a tol below 10^-bits is below 2^-bits, and is refused before its
     # exact value, 10^|exponent| in size, is built
-    bits = fibmap._MAX_BISECTIONS
+    bits = fibmap.MAX_BISECTIONS
     if tol.adjusted() < -bits or Fraction(tol) < Fraction(1, 2**bits):
         raise argparse.ArgumentTypeError("--tol must be >= 2^-%d, the narrowest bracket find-lambda reaches" % bits)
     return Fraction(tol)
@@ -245,8 +245,7 @@ def _cmd_knead_unimodal(args):
 
 def _cmd_zeta_from_counts(args):
     counts = args.counts
-    order = len(counts) if args.order is None else args.order
-    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, order).to_json()}, args)
+    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, len(counts)).to_json()}, args)
 
 
 def _cmd_zeta_sft(args):
@@ -275,19 +274,12 @@ def _cmd_zeta_mt_check(args):
 # ---------------------------------------------------------------------------
 
 
-def _cubic_counts(s: Fraction, n_max: int) -> tuple[float, float, list[int]]:
-    """The invariant interval [alpha, beta] and the counts N_1..N_n_max."""
-    alpha, beta = cubicfam.filled_julia_endpoints(s)
-    counts = cubicfam.periodic_counts(s, alpha, beta, n_max)
-    return alpha, beta, [c.count for c in counts]
-
-
 def _cmd_cubic_report(args):
     cubicfam.check_size("nmax", args.nmax)
     cubicfam.check_size("depth", args.depth)
     s = args.s
     poly, par = cubicfam.cubic_family(s)
-    alpha, beta, counts = _cubic_counts(s, args.nmax)
+    alpha, beta, counts = cubicfam.periodic_counts(s, args.nmax)
     pieces = cubicfam.repeller_pieces(s, args.depth)
     disjoint = cubicfam.pairwise_disjoint([p.interval for p in pieces])
     payload = {
@@ -295,13 +287,13 @@ def _cmd_cubic_report(args):
         "a": str(par.a),
         "b": str(par.b),
         "c_s": str(par.c_s),
-        "coefficients": [str(c) for c in poly.coeffs],
+        "coefficients": [str(c) for c in poly],
         "identities": {
             "critical_orbit": cubicfam.verify_critical_orbit(s),
             "critical_value_match": cubicfam.critical_value_direct(s) == cubicfam.critical_value_factored(s),
         },
         "endpoints": {"alpha": alpha, "beta": beta},
-        "counts": counts,
+        "counts": [c.count for c in counts],
         "repeller": {
             "depth": args.depth,
             "pieces": len(pieces),
@@ -317,8 +309,8 @@ def _cmd_cubic_sweep(args):
     rows = []
     for k in range(steps + 1):
         s = lo + (hi - lo) * Fraction(k, steps)
-        alpha, beta, counts = _cubic_counts(s, 6)
-        rows.append([str(s), float(cubicfam.critical_value(s)), alpha, beta, *counts])
+        alpha, beta, counts = cubicfam.periodic_counts(s, 6)
+        rows.append([str(s), float(cubicfam.critical_value(s)), alpha, beta, *(c.count for c in counts)])
     header = ["s", "F_s(c_s)", "alpha", "beta", "N1", "N2", "N3", "N4", "N5", "N6"]
     payload = [dict(zip(header, row)) for row in rows]
     _emit(payload, args, csv_rows=rows, csv_header=header)
@@ -441,9 +433,7 @@ _COMMANDS = {
                                            _required("--cycle", _int_list("--cycle")), _ORDER]),
     }),
     "zeta": ("zeta functions", {
-        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list("--counts")),
-                                                 ("--order", {**_ORDER[1], "default": None,
-                                                              "help": "series order (default: number of counts)"})]),
+        "from-counts": (_cmd_zeta_from_counts, [_required("--counts", _int_list("--counts"))]),
         "sft": (_cmd_zeta_sft, [_required("--matrix", _matrix), _N]),
         "closed-form": (_cmd_zeta_closed_form, [_NU,
                                                  ("--order", {**_ORDER[1], "default": 24,

@@ -123,7 +123,7 @@ class OrbitInfo(NamedTuple):
     cycle: tuple
 
 
-def _eventual_path(step, x) -> tuple[list, int]:
+def eventual_path(step, x) -> tuple[list, int]:
     """The points x, step(x), ... up to the first repeat, and the index at
     which the cycle starts: the path is the preperiod followed by one cycle.
 
@@ -143,7 +143,7 @@ def _index_path(rho, i: int) -> tuple[list[int], int]:
     rho = _as_comb(rho)
     if not (0 <= i <= rho.n):
         raise ValueError("index out of range")
-    return _eventual_path(rho.entries.__getitem__, i)
+    return eventual_path(rho.entries.__getitem__, i)
 
 
 def orbit(rho, i: int) -> OrbitInfo:
@@ -449,7 +449,7 @@ def build_vu_from_periodic_points(points: Sequence[Fraction]) -> Combinatorics:
     for x in dict.fromkeys(pts):  # each distinct point is walked once
         if not (1 <= x <= 3):
             raise ValueError("point %s outside [1, 3]" % x)
-        path, start = _eventual_path(model, x)
+        path, start = eventual_path(model, x)
         if start != 0:
             raise ValueError("point %s is not periodic for the base model" % x)
         orbits.append(path)

@@ -15,54 +15,12 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 # re-exported: `cubic report` tests its repeller pieces with cubicfam.pairwise_disjoint
 from ._value import Value, pairwise_disjoint
-from .series import Q, poly_compose, poly_divmod, poly_mul, poly_sub, poly_trim
+from .series import Q, poly_compose, poly_divmod, poly_eval, poly_mul, poly_sub
 from .subshift import fib_language, vee_map
 
 
 class BranchError(RuntimeError):
     """Inverse-branch construction or inversion failed."""
-
-
-class RealPoly(Value):
-    """Dense real polynomial with exact rational coefficients, lowest first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", poly_trim(coeffs) or (Q(0),))
-
-    def __call__(self, x):
-        """Horner's rule; at a float x it makes `float_fn`'s IEEE steps."""
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, other: "RealPoly") -> "RealPoly":
-        return RealPoly(poly_compose(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "RealPoly") -> "RealPoly":
-        return RealPoly(poly_sub(self.coeffs, other.coeffs))
-
-    def divide_exactly(self, other: "RealPoly") -> "RealPoly":
-        quot, rem = poly_divmod(self.coeffs, other.coeffs)
-        if rem:
-            raise ValueError("division is not exact")
-        return RealPoly(quot)
-
-    def float_fn(self) -> Callable[[float], float]:
-        cs = [float(c) for c in reversed(self.coeffs)]
-
-        def f(x: float) -> float:
-            acc = 0.0
-            for c in cs:
-                acc = acc * x + c
-            return acc
-
-        return f
-
-
-IDENTITY = RealPoly((Q(0), Q(1)))
 
 
 class CubicParam(NamedTuple):
@@ -97,21 +55,22 @@ def _params(s) -> CubicParam:
     return CubicParam(s, a, b, -Q(2, 3) * b / a)
 
 
-def cubic_family(s) -> tuple[RealPoly, CubicParam]:
-    """F_s as an exact polynomial together with its derived parameters."""
+def cubic_family(s) -> tuple[tuple[Fraction, ...], CubicParam]:
+    """F_s as exact coefficients, lowest first, together with its derived
+    parameters."""
     par = _params(s)
-    return RealPoly((Q(1), Q(0), par.b, par.a)), par
+    return (Q(1), Q(0), par.b, par.a), par
 
 
 def verify_critical_orbit(s) -> bool:
     """Exact check of the three-cycle 0 -> 1 -> -s -> 0."""
     poly, par = cubic_family(s)
-    return poly(Q(0)) == 1 and poly(Q(1)) == -par.s and poly(-par.s) == 0
+    return poly_eval(poly, Q(0)) == 1 and poly_eval(poly, Q(1)) == -par.s and poly_eval(poly, -par.s) == 0
 
 
 def critical_value_direct(s) -> Fraction:
     poly, par = cubic_family(s)
-    return poly(par.c_s)
+    return poly_eval(poly, par.c_s)
 
 
 def critical_value_factored(s) -> Fraction:
@@ -130,9 +89,9 @@ def critical_value(s) -> Fraction:
     return direct
 
 
-def s_star_polynomial() -> RealPoly:
+def s_star_polynomial() -> tuple[Fraction, ...]:
     """p(s) = s^4 + s^3 - 3s - 2, whose root in (1, 2) is s_*."""
-    return RealPoly((Q(-2), Q(-3), Q(0), Q(1), Q(1)))
+    return (Q(-2), Q(-3), Q(0), Q(1), Q(1))
 
 
 class SStar(NamedTuple):
@@ -146,11 +105,11 @@ def s_star(tol: float = 1e-9) -> SStar:
         raise ValueError("tol must be positive")
     p = s_star_polynomial()
     lo, hi = Q(1), Q(2)
-    if not (p(lo) < 0 < p(hi)):
+    if not (poly_eval(p, lo) < 0 < poly_eval(p, hi)):
         raise ArithmeticError("bracket [1, 2] does not straddle the root")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        v = p(mid)
+        v = poly_eval(p, mid)
         if v == 0:
             lo = hi = mid
             break
@@ -210,26 +169,47 @@ def _sign_change_roots(g: Callable[[float], float], xs: Sequence[float], tol: fl
     return roots
 
 
-def _real_roots_in(poly: RealPoly, lo: float, hi: float, tol: float, samples: int = 600) -> list[float]:
+def _float_horner(p) -> Callable[[float], float]:
+    """p on floats: Horner's rule on its coefficients rounded to floats,
+    the IEEE steps of `poly_eval(p, x)` at a float x."""
+    cs = [float(c) for c in reversed(p)]
+
+    def f(x: float) -> float:
+        acc = 0.0
+        for c in cs:
+            acc = acc * x + c
+        return acc
+
+    return f
+
+
+def _real_roots_in(p, lo: float, hi: float, tol: float, samples: int = 600) -> list[float]:
     """Simple roots of an exact polynomial in [lo, hi] by sign scan + bisection."""
     xs = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
     out: list[float] = []
-    for r in _sign_change_roots(poly.float_fn(), xs, tol):
+    for r in _sign_change_roots(_float_horner(p), xs, tol):
         if not out or abs(r - out[-1]) > 10 * tol:
             out.append(r)
     return out
 
 
-def two_cycle_polynomial(s) -> RealPoly:
+def _exact_quotient(p, q) -> tuple[Fraction, ...]:
+    """p / q, which must leave no remainder."""
+    quot, rem = poly_divmod(p, q)
+    if rem:
+        raise ValueError("division is not exact")
+    return quot
+
+
+def two_cycle_polynomial(s) -> tuple[Fraction, ...]:
     """(F(F(x)) - x) / (F(x) - x): its real roots are genuine two-cycles."""
     poly, _ = cubic_family(s)
-    g2 = poly.compose(poly) - IDENTITY
-    return g2.divide_exactly(poly - IDENTITY)
+    return _exact_quotient(poly_sub(poly_compose(poly, poly), (0, 1)), poly_sub(poly, (0, 1)))
 
 
 def _float_map(par: CubicParam) -> Callable[[float], float]:
-    """F_s on floats.  For finite x it is bit-identical to `float_fn` of
-    the exact polynomial (1, 0, b, a): the Horner steps 0*x + a and + 0
+    """F_s on floats.  For finite x it is bit-identical to `_float_horner`
+    of the exact polynomial (1, 0, b, a): the Horner steps 0*x + a and + 0
     are exact."""
     a, b = float(par.a), float(par.b)
 
@@ -248,7 +228,7 @@ def filled_julia_endpoints(s) -> tuple[float, float]:
     par = _params(s)
     f = _float_map(par)
     sextic = two_cycle_polynomial(s)
-    bound = 1.0 + max(abs(float(c)) for c in sextic.coeffs[:-1]) / abs(float(sextic.coeffs[-1]))
+    bound = 1.0 + max(abs(float(c)) for c in sextic[:-1]) / abs(float(sextic[-1]))
     roots = _real_roots_in(sextic, -bound, bound, _COUNT_TOL)
     if len(roots) < 2:
         raise BranchError("no bounded invariant interval found at s=%s" % s)
@@ -262,11 +242,6 @@ def filled_julia_endpoints(s) -> tuple[float, float]:
     if lo_img < alpha - pad or hi_img > beta + pad:
         raise BranchError("interval [alpha, beta] is not forward invariant at s=%s" % s)
     return alpha, beta
-
-
-def _preimages(f, lap_bounds: Sequence[float], y: float) -> list[float]:
-    """Solutions of f(x) = y on the monotone laps between lap_bounds."""
-    return _sign_change_roots(lambda x: f(x) - y, lap_bounds, _COUNT_TOL)
 
 
 class PeriodicCount(NamedTuple):
@@ -289,7 +264,9 @@ def _lap_endpoints(par: CubicParam, alpha: float, beta: float) -> Iterator[set[f
         yield endpoints
         nxt: list[float] = []
         for y in level:
-            nxt.extend(x for x in _preimages(f, lap_bounds, y) if alpha - _COUNT_TOL <= x <= beta + _COUNT_TOL)
+            # the solutions of F(x) = y on the monotone laps of F
+            roots = _sign_change_roots(lambda x: f(x) - y, lap_bounds, _COUNT_TOL)
+            nxt.extend(x for x in roots if alpha - _COUNT_TOL <= x <= beta + _COUNT_TOL)
         level = nxt
         endpoints.update(level)
 
@@ -395,13 +372,14 @@ def count_periodic(s, n: int) -> PeriodicCount:
     return _count_on_laps(par, n, alpha, beta, endpoints)
 
 
-def periodic_counts(s, alpha: float, beta: float, nmax: int) -> list[PeriodicCount]:
-    """`count_periodic(s, n)` for n = 1..nmax, from one preimage tree on the
-    invariant interval [alpha, beta] = `filled_julia_endpoints(s)`."""
+def periodic_counts(s, nmax: int) -> tuple[float, float, list[PeriodicCount]]:
+    """The invariant interval [alpha, beta] = `filled_julia_endpoints(s)` and
+    `count_periodic(s, n)` for n = 1..nmax, from one preimage tree on it."""
     check_size("nmax", nmax)
     par = _params(s)
+    alpha, beta = filled_julia_endpoints(s)
     laps = _lap_endpoints(par, alpha, beta)
-    return [_count_on_laps(par, n, alpha, beta, next(laps)) for n in range(1, nmax + 1)]
+    return alpha, beta, [_count_on_laps(par, n, alpha, beta, next(laps)) for n in range(1, nmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,29 +407,33 @@ class Interval(Value):
         return self.hi + margin < other.lo or other.hi + margin < self.lo
 
 
-class BranchSystem(Value):
+class BranchSystem(NamedTuple):
     """Base interval J with sub-intervals J1, J2 and the inverse branches
     phi1 = (F^2 | J1-region)^-1 and phi2 = (F | J2-region)^-1, realized by
-    monotone bisection inversion with the float map _f.
+    monotone bisection inversion with the float map f.
 
     ``cycle`` is the repelling orbit p0 -> p1 -> p2."""
 
-    __slots__ = ("s", "base", "j1", "j2", "k1", "k2", "cycle", "ell0", "ell1", "_f")
-
-    def __init__(self, s: Fraction, base: Interval, j1: Interval, j2: Interval, k1: Interval, k2: Interval,
-                 cycle: tuple[float, float, float], ell0: float, ell1: float, _f: Callable[[float], float]):
-        for name, value in zip(self.__slots__, (s, base, j1, j2, k1, k2, cycle, ell0, ell1, _f)):
-            object.__setattr__(self, name, value)
+    s: Fraction
+    base: Interval
+    j1: Interval
+    j2: Interval
+    k1: Interval
+    k2: Interval
+    cycle: tuple[float, float, float]
+    ell0: float
+    ell1: float
+    f: Callable[[float], float]
 
     def phi2(self, y: float) -> float:
         """Inverse of F on the J2 side (F decreasing there)."""
         m = 4 * _BRANCH_TOL
-        return _bisect(lambda x: self._f(x) - y, self.j2.lo - m, self.j2.hi + m, _BRANCH_TOL)
+        return _bisect(lambda x: self.f(x) - y, self.j2.lo - m, self.j2.hi + m, _BRANCH_TOL)
 
     def phi1(self, y: float) -> float:
         """Inverse of F^2 on the J1 side (F^2 decreasing there)."""
         m = 4 * _BRANCH_TOL
-        return _bisect(lambda x: self._f(self._f(x)) - y, self.j1.lo - m, self.j1.hi + m, _BRANCH_TOL)
+        return _bisect(lambda x: self.f(self.f(x)) - y, self.j1.lo - m, self.j1.hi + m, _BRANCH_TOL)
 
 
 def repelling_three_cycle(s) -> tuple[float, float, float]:
@@ -462,10 +444,10 @@ def repelling_three_cycle(s) -> tuple[float, float, float]:
     roots in (-s, 1) are the orbit, avoiding every spurious root.
     """
     poly, par = cubic_family(s)
-    g3 = poly.compose(poly).compose(poly) - IDENTITY
-    residual = g3.divide_exactly(poly - IDENTITY)
-    crit_factor = RealPoly(poly_mul(poly_mul((Q(0), Q(1)), (Q(-1), Q(1))), (par.s, Q(1))))
-    residual = residual.divide_exactly(crit_factor)
+    g3 = poly_sub(poly_compose(poly_compose(poly, poly), poly), (0, 1))
+    residual = _exact_quotient(g3, poly_sub(poly, (0, 1)))
+    crit_factor = poly_mul(poly_mul((Q(0), Q(1)), (Q(-1), Q(1))), (par.s, Q(1)))
+    residual = _exact_quotient(residual, crit_factor)
     roots = _real_roots_in(residual, float(-par.s), 1.0, _BRANCH_TOL, samples=800)
     roots = [r for r in roots if float(-par.s) < r < 1.0]
     if len(roots) != 3:
@@ -518,7 +500,7 @@ def build_branch_system(s) -> BranchSystem:
 
     return BranchSystem(
         s=par.s, base=base, j1=j1, j2=j2, k1=k1, k2=k2,
-        cycle=(p0, p1, p2), ell0=ell0, ell1=ell1, _f=f,
+        cycle=(p0, p1, p2), ell0=ell0, ell1=ell1, f=f,
     )
 
 

@@ -169,7 +169,7 @@ def _kneading_cmp(lam: Fraction, target: Sequence[int], frac_bits: int) -> int:
     return 0
 
 
-_MAX_BISECTIONS = 2000  # find_fib_lambda reaches any tol >= 2^-2000
+MAX_BISECTIONS = 2000  # find_fib_lambda reaches any tol >= 2^-2000
 
 
 def _bits_below(tol: Fraction) -> int:
@@ -223,8 +223,8 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10)) -> LambdaR
     if tol <= 0:
         raise ValueError("tol must be positive")
     tol_bits = _bits_below(tol)
-    if tol_bits > _MAX_BISECTIONS:
-        raise ValueError("tol must be >= 2^-%d, the narrowest bracket the bisection reaches" % _MAX_BISECTIONS)
+    if tol_bits > MAX_BISECTIONS:
+        raise ValueError("tol must be >= 2^-%d, the narrowest bracket the bisection reaches" % MAX_BISECTIONS)
     target = _target_addresses(depth)
     frac_bits = max(len(target), tol_bits) + 64
 
@@ -234,9 +234,9 @@ def find_fib_lambda(depth: int, tol: Fraction | float = Q(1, 10**10)) -> LambdaR
         raise BracketError("target exceeds the full tent kneading")
     bisections = 0
     while not (c_hi == 0 and hi - lo <= tol):
-        if bisections == _MAX_BISECTIONS:
+        if bisections == MAX_BISECTIONS:
             raise BracketError("bisection did not locate the target within tol in %d halvings at depth %d"
-                               % (_MAX_BISECTIONS, depth))
+                               % (MAX_BISECTIONS, depth))
         bisections += 1
         mid = (lo + hi) / 2
         c = _kneading_cmp(mid, target, frac_bits)

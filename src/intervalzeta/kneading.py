@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .combinatorics import PLModel, _eventual_path, turning_points
+from .combinatorics import PLModel, eventual_path, turning_points
 from .series import (
     Q,
     RationalFn,
@@ -138,7 +138,7 @@ def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
         s = shape[_sided_lap(turning, n, point, side)]
         return model(point), side * s, sign * s
 
-    walks = [_eventual_path(step, (c, 1, 1)) for c in turning]
+    walks = [eventual_path(step, (c, 1, 1)) for c in turning]
     periods = tuple((max(start, 1), len(path) - start) for path, start in walks)
     total = sum(p + k for p, k in periods)
     if len(turning) > CAPS["m"]:

@@ -137,6 +137,15 @@ def poly_compose(p, q) -> tuple[Fraction, ...]:
     return _ratios(acc, da * scale)
 
 
+def poly_eval(p, x):
+    """p(x) by Horner's rule: exact at a rational x; at a float x each step
+    rounds as a float Horner on the coefficients rounded to floats does."""
+    acc = Q(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------

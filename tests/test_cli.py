@@ -141,6 +141,14 @@ class TestZeta:
         assert json.loads(out) == {"ok": False, "reason": "a 30 x 30 matrix of 333-bit entries at n = 120: n^2 b^2 "
                                                           "(k^3 + n) = 43305259392000, capped at 10000000000000"}
 
+    def test_from_counts_over_budget_is_refused(self, capsys, monkeypatch):
+        # refused before exp; 100 such counts ran 139 s
+        monkeypatch.setattr(zeta.TruncSeries, "exp", lambda self: pytest.fail("exp ran"))
+        code, out = run_cli(capsys, "zeta", "from-counts", "--counts", ",".join(["9" * 4300] * 30))
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "30 counts of up to 14285 bits: n^3 (b + n)^2 = "
+                                                          "5532819075000, capped at 5000000000000"}
+
     def test_closed_form(self, capsys):
         code, out = run_cli(capsys, "zeta", "closed-form", "--nu", "2")
         assert code == 0
@@ -154,9 +162,12 @@ class TestZeta:
         assert len(counts) == 30 and counts[:24] == json.loads(default)["counts"]
 
     def test_from_counts_order_beyond_counts(self, capsys):
-        code, out = run_cli(capsys, "zeta", "from-counts", "--counts", "1,2", "--order", "8")
-        assert code == 1
-        assert json.loads(out) == {"ok": False, "reason": "need counts N_1..N_8"}
+        # the series order is the number of counts; from-counts takes no --order
+        for order in ("8", "2", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["zeta", "from-counts", "--counts", "1,2", "--order", order])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --order" in capsys.readouterr().err
         code, out = run_cli(capsys, "zeta", "from-counts", "--counts", "1,2")
         assert code == 0
         assert json.loads(out)["zeta"] == {"order": 2, "coeffs": ["1", "1", "3/2"]}
@@ -487,7 +498,7 @@ OWN = {
     "knead det": {"--rho": REQUIRED, **ORDER},
     "knead matrix": {"--rho": REQUIRED, **ORDER},
     "knead unimodal": {"--prefix": (), "--cycle": REQUIRED, **ORDER},
-    "zeta from-counts": {"--counts": REQUIRED, "--order": None},
+    "zeta from-counts": {"--counts": REQUIRED},
     "zeta sft": {"--matrix": REQUIRED, "--n": REQUIRED},
     "zeta closed-form": {"--nu": REQUIRED, "--order": 24},
     "zeta mt-check": {"--rho": REQUIRED, "--zeta-num": REQUIRED, "--zeta-den": REQUIRED, **ORDER},

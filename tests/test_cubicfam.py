@@ -10,8 +10,8 @@ from intervalzeta import cubicfam
 from intervalzeta.cubicfam import (
     BranchSystem,
     Interval,
-    RealPoly,
     RepellerPiece,
+    _float_horner,
     _float_map,
     build_branch_system,
     count_periodic,
@@ -29,7 +29,7 @@ from intervalzeta.cubicfam import (
     two_cycle_polynomial,
     verify_critical_orbit,
 )
-from intervalzeta.series import poly_mul
+from intervalzeta.series import poly_compose, poly_eval, poly_mul, poly_sub
 from intervalzeta.subshift import fib_language, vee_map
 from intervalzeta.zeta import counts_from_zeta, zeta_vu_closed_form
 from tests_support import pairwise_check
@@ -57,13 +57,13 @@ def random_parameters(count, seed=7):
 class TestExactIdentities:
     def test_coefficients_at_one(self):
         poly, par = cubic_family(1)
-        assert poly.coeffs == (1, 0, Q(-3, 2), Q(-1, 2))
+        assert poly == (1, 0, Q(-3, 2), Q(-1, 2))
         assert (par.a, par.b) == (Q(-1, 2), Q(-3, 2))
 
     def test_constant_term(self):
         for s in (Q(1), Q(6, 5), Q(2)):
             poly, _ = cubic_family(s)
-            assert poly(Q(0)) == 1
+            assert poly_eval(poly, Q(0)) == 1
 
     def test_critical_orbit(self):
         assert verify_critical_orbit(1)
@@ -90,7 +90,7 @@ class TestExactIdentities:
         monkeypatch.setattr(cubicfam, "poly_compose", lambda p, q: pytest.fail("F_s was composed"))
         reason = "a 1025-bit parameter s, capped at 1024 bits"
         for call in (lambda: cubic_family(over), lambda: filled_julia_endpoints(over),
-                     lambda: count_periodic(over, 2), lambda: periodic_counts(over, -1.0, 1.0, 2),
+                     lambda: count_periodic(over, 2), lambda: periodic_counts(over, 2),
                      lambda: repeller_pieces(over, 2)):
             with pytest.raises(ValueError, match=reason):
                 call()
@@ -130,12 +130,12 @@ class TestSStar:
         root = s_star(1e-6)
         p = s_star_polynomial()
         lo, hi = root.bracket
-        assert p(lo) < 0 < p(hi)
+        assert poly_eval(p, lo) < 0 < poly_eval(p, hi)
 
     def test_q_positive_on_interval(self):
-        q = RealPoly((Q(1), Q(-3), Q(0), Q(4), Q(4)))
+        q = (Q(1), Q(-3), Q(0), Q(4), Q(4))
         for k in range(50):
-            assert q(1 + Q(k, 49)) > 0
+            assert poly_eval(q, 1 + Q(k, 49)) > 0
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ class TestEndpoints:
 
     def test_invariance(self):
         poly, par = cubic_family(Q(6, 5))
-        f = poly.float_fn()
+        f = _float_horner(poly)
         alpha, beta = filled_julia_endpoints(Q(6, 5))
         images = [f(alpha), f(beta), f(0.0), f(float(par.c_s))]
         pad = 1e-8
@@ -168,15 +168,17 @@ class TestEndpoints:
         poly, par = cubic_family(s)
         alpha, beta = filled_julia_endpoints(s)
         x = data.draw(st.floats(min_value=alpha, max_value=beta))
-        assert _float_map(par)(x) == poly.float_fn()(x)
-        assert poly(x).hex() == poly.float_fn()(x).hex()
+        assert _float_map(par)(x) == _float_horner(poly)(x)
+        assert poly_eval(poly, x).hex() == _float_horner(poly)(x).hex()
 
     def test_two_cycle_polynomial_is_exact_quotient(self):
         poly, _ = cubic_family(Q(6, 5))
         sextic = two_cycle_polynomial(Q(6, 5))
-        assert len(sextic.coeffs) == 7
-        recomposed = poly_mul(sextic.coeffs, (poly - RealPoly((0, 1))).coeffs)
-        assert recomposed == (poly.compose(poly) - RealPoly((0, 1))).coeffs
+        assert len(sextic) == 7
+        recomposed = poly_mul(sextic, poly_sub(poly, (0, 1)))
+        assert recomposed == poly_sub(poly_compose(poly, poly), (0, 1))
+        with pytest.raises(ValueError, match="division is not exact"):
+            cubicfam._exact_quotient(sextic, poly)
 
 
 class TestCounting:
@@ -198,26 +200,26 @@ class TestCounting:
         expected = counts_from_zeta(zeta_vu_closed_form(2), 8)
         for k in range(13):
             s = 1 + Q(3 * k, 100)
-            counts = periodic_counts(s, *filled_julia_endpoints(s), 8)
+            _, _, counts = periodic_counts(s, 8)
             assert [c.count for c in counts] == expected, s
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             count_periodic(1, 0)
         with pytest.raises(ValueError):
-            periodic_counts(1, *filled_julia_endpoints(1), 0)
+            periodic_counts(1, 0)
 
     def test_period_above_cap_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(cubicfam, "_params", None)
         with pytest.raises(ValueError, match="n capped at 16"):
             count_periodic(Q(6, 5), 17)
         with pytest.raises(ValueError, match="nmax capped at 16"):
-            periodic_counts(Q(6, 5), -1.0, 1.0, 60)
+            periodic_counts(Q(6, 5), 60)
 
     @pytest.mark.parametrize("s", [Q(1), Q(6, 5), Q(137, 100)])
     def test_one_tree_equals_one_count_per_n(self, s):
-        # counts and flagged samples alike
-        assert periodic_counts(s, *filled_julia_endpoints(s), 8) == [count_periodic(s, n) for n in range(1, 9)]
+        # on the invariant interval of s, counts and flagged samples alike
+        assert periodic_counts(s, 8) == (*filled_julia_endpoints(s), [count_periodic(s, n) for n in range(1, 9)])
 
     def test_scan_is_streamed(self):
         # the grid of F^12 has about 43k samples; a list of them and of their
@@ -246,7 +248,7 @@ class TestBranchSystem:
 
     def test_three_cycle_maps_cyclically(self):
         poly, _ = cubic_family(Q(6, 5))
-        f = poly.float_fn()
+        f = _float_horner(poly)
         p0, p1, p2 = repelling_three_cycle(Q(6, 5))
         assert abs(f(p0) - p1) < 1e-9
         assert abs(f(p1) - p2) < 1e-9
@@ -254,7 +256,7 @@ class TestBranchSystem:
 
     def test_branches_invert_the_map(self):
         poly, _ = cubic_family(Q(6, 5))
-        f = poly.float_fn()
+        f = _float_horner(poly)
         bs = build_branch_system(Q(6, 5))
         y = 0.5 * (bs.base.lo + bs.base.hi)
         assert abs(f(bs.phi2(y)) - y) < 1e-9

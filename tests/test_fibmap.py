@@ -170,7 +170,7 @@ class TestFindLambda:
 
     def test_exhausted_iteration_budget_errors(self, monkeypatch):
         # three halvings of [1, 2] reach width 1/8 but not the depth-12 window
-        monkeypatch.setattr(fibmap, "_MAX_BISECTIONS", 3)
+        monkeypatch.setattr(fibmap, "MAX_BISECTIONS", 3)
         with pytest.raises(BracketError):
             find_fib_lambda(12, Q(1, 8))
 
@@ -212,8 +212,8 @@ class TestFindLambda:
         assert exact_builds == []
 
     def test_narrowest_reachable_tol(self):
-        res = find_fib_lambda(1, Q(1, 2**fibmap._MAX_BISECTIONS))
-        assert res.bracket[1] - res.bracket[0] == Q(1, 2**fibmap._MAX_BISECTIONS)
+        res = find_fib_lambda(1, Q(1, 2**fibmap.MAX_BISECTIONS))
+        assert res.bracket[1] - res.bracket[0] == Q(1, 2**fibmap.MAX_BISECTIONS)
 
     def test_depth_above_cap_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(fibmap, "_target_addresses", None)
@@ -222,8 +222,8 @@ class TestFindLambda:
 
     def test_unreachable_tol_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(fibmap, "_target_addresses", None)
-        with pytest.raises(ValueError, match="tol must be >= 2\\^-%d" % fibmap._MAX_BISECTIONS):
-            find_fib_lambda(6, Q(1, 2 ** fibmap._MAX_BISECTIONS + 1))
+        with pytest.raises(ValueError, match="tol must be >= 2\\^-%d" % fibmap.MAX_BISECTIONS):
+            find_fib_lambda(6, Q(1, 2 ** fibmap.MAX_BISECTIONS + 1))
 
 
 class TestCertifiedOrbit:

@@ -73,3 +73,34 @@ def test_private_names_have_a_src_reference(path):
         if not any(_is_reference(n, name) and id(n) not in own for tree in TREES.values() for n in ast.walk(tree)):
             unused.append(name)
     assert unused == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(tree):
+    """The `_private` names a module reads from another src module: imported
+    by `from .mod import _name`, or read as `mod._name` of a module imported
+    by `from . import mod`."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+    for node in imports:
+        if node.module is not None:
+            yield from ("%s.%s" % (node.module, alias.name) for alias in node.names if _is_private(alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                and _is_private(node.attr)):
+            yield "%s.%s" % (node.value.id, node.attr)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_names_stay_in_their_module(path):
+    # a name another module needs is public
+    assert list(_foreign_private_reads(TREES[path.name])) == []
+
+
+def test_foreign_private_reads_are_found():
+    tree = ast.parse("from . import fibmap as fm\nfrom .series import _scaled, poly_mul\nfrom ._value import Value\n"
+                     "x = fm._CAP + fm.PUBLIC\ny = fm.__name__\n")
+    assert list(_foreign_private_reads(tree)) == ["series._scaled", "fm._CAP"]

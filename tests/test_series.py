@@ -16,6 +16,7 @@ from intervalzeta.series import (
     detect_eventual_periodicity,
     poly_compose,
     poly_divmod,
+    poly_eval,
     poly_mul,
     poly_trim,
     rational_from_eventually_periodic,
@@ -378,6 +379,11 @@ class TestIntegerKernelsMatchFractionReference:
     @settings(max_examples=40)
     def test_poly_compose(self, p, q):
         assert poly_compose(p, q) == ref.poly_compose(p, q)
+
+    @given(polys, rationals)
+    @settings(max_examples=60)
+    def test_poly_eval(self, p, x):
+        assert poly_eval(p, x) == ref.poly_eval(p, x)
 
     @given(rational_fns)
     @settings(max_examples=80)

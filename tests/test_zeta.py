@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 import tests_support as ref
 from intervalzeta.combinatorics import count_fixed_points_of_iterate, generate_vu, pl_model
-from intervalzeta.series import RationalFn, poly_mul, rf_to_series
+from intervalzeta import zeta
+from intervalzeta.series import RationalFn, TruncSeries, poly_mul, rf_to_series
 from intervalzeta.subshift import fib_adjacency, sft_periodic_counts
 from intervalzeta.zeta import (
     NonIntegralCountError,
@@ -28,6 +29,24 @@ class TestZetaFromCounts:
     def test_fibonacci_shift(self):
         counts = sft_periodic_counts(fib_adjacency(), 32)
         assert zeta_from_counts(counts, 32).coeffs == rf_to_series(FIB_ZETA, 32).coeffs
+
+    def test_work_over_budget_is_refused_before_exp(self, monkeypatch):
+        # 20 counts of 24980 bits make n^3 (b + n)^2 = 20^3 * 25000^2, the
+        # bound itself; a count of one bit more is over it.  Only the counts
+        # inside the order are weighed.
+        ran = []
+        monkeypatch.setattr(TruncSeries, "exp", lambda self: ran.append(self.order) or self)
+        at_bound = [2**24980 - 1] * 20
+        assert 20**3 * 25000**2 == zeta.MAX_FROM_COUNTS_WORK
+        zeta_from_counts(at_bound, 20)
+        zeta_from_counts([*at_bound, 2**24981], 20)
+        assert ran == [20, 20]
+        with pytest.raises(ValueError, match=r"^20 counts of up to 24981 bits: n\^3 \(b \+ n\)\^2 = "
+                                             r"5000400008000, capped at 5000000000000$"):
+            zeta_from_counts([*at_bound[1:], 2**24981 - 1], 20)
+        with pytest.raises(ValueError, match="capped at"):
+            zeta_from_counts([*at_bound, 1], 21)
+        assert ran == [20, 20]
 
 
 class TestCountsFromZeta:

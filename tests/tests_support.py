@@ -192,6 +192,14 @@ def poly_gcd(p, q) -> tuple[Fraction, ...]:
     return a
 
 
+def poly_eval(p, x) -> Fraction:
+    """p(x) by Horner's rule on Fractions."""
+    acc = Q(0)
+    for c in reversed(p):
+        acc = acc * _frac(x) + _frac(c)
+    return acc
+
+
 def poly_compose(p, q) -> tuple[Fraction, ...]:
     """p(q(t)) by Horner on polynomials."""
     acc: tuple[Fraction, ...] = ()
