@@ -36,7 +36,20 @@ class DomainFailure(Exception):
         self.payload = payload
 
 
+# a decimal exponent of this size or more is a usage error: 10^4300 has more
+# digits than the int-to-str limit, 4300, lets an argument write out
+_MAX_EXPONENT = 4300
+
+
 def _fraction(text: str) -> Fraction:
+    """A rational as `Fraction` reads it; its decimal exponent is read first,
+    so that a large one is refused before Fraction builds 10^|exponent|."""
+    try:
+        exponent = abs(int(text.lower().partition("e")[2]))
+    except ValueError:  # no exponent, or one Fraction refuses too
+        exponent = 0
+    if exponent >= _MAX_EXPONENT:
+        raise argparse.ArgumentTypeError("a decimal exponent must be below %d in size: %r" % (_MAX_EXPONENT, text))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -262,6 +275,7 @@ def _cmd_zeta_closed_form(args):
 def _cmd_zeta_mt_check(args):
     model = comb.pl_model(args.rho)
     det = kneading.kneading_rational(model)
+    zeta.check_mt_work(args.zeta_num, args.zeta_den, det)
     rf = RationalFn(tuple(args.zeta_num), tuple(args.zeta_den))
     factors = zeta.mt_relation_check(rf, det)
     if factors is None:

@@ -193,8 +193,6 @@ def induced_combinatorics(rho) -> Combinatorics:
 def is_own_combinatorics(rho) -> OwnCombinatoricsCheck:
     """Every interior marked point must lie on a turning-point orbit."""
     rho = _as_comb(rho)
-    if not is_pm(rho):
-        raise ValueError("combinatorics has equal adjacent entries")
     covered = set()
     for c in turning_points(rho):
         covered |= orbit_set(rho, c)
@@ -212,37 +210,28 @@ def is_framed(rho) -> bool:
     return rho[0] in (0, rho.n) and rho[rho.n] in (0, rho.n)
 
 
-def _hull_image(rho: Combinatorics, lo: int, hi: int) -> tuple[int, int]:
-    vals = [rho[j] for j in range(lo, hi + 1)]
-    return min(vals), max(vals)
-
-
 def is_virtually_unimodal(rho) -> int | None:
     """Dominant turning point, if one exists.
 
-    A turning point c is dominant when, for H = <F^2(c), F(c)>:
-    the only turning point interior to H is c; the orbit of c stays in H;
-    and every turning orbit eventually enters H.  Since F(H) = H whenever
-    the first two conditions hold, eventual entry is equivalent to the
-    orbit meeting H, which is what is checked.  The hull invariance
-    F(H) = H is verified exactly as part of the test.
+    A turning point c is dominant when, for H = <F^2(c), F(c)>: the only
+    turning point interior to H is c; F(H) = H, tested exactly on the marked
+    points of H; and every turning orbit eventually enters H.  As F(H) = H,
+    an orbit that meets H stays in it, so eventual entry is the orbit
+    meeting H, which is what is checked; and the orbit of c, which starts
+    inside H, stays in H.
     """
     rho = _as_comb(rho)
-    own = is_own_combinatorics(rho)
-    if not own:
+    if not is_own_combinatorics(rho):
         raise ValueError("combinatorics is not its own combinatorics")
     trn = turning_points(rho)
     for c in trn:
         fc = rho[c]
-        f2c = rho[fc]
-        lo, hi = min(f2c, fc), max(f2c, fc)
-        if lo >= hi:
-            continue
+        lo, hi = sorted((rho[fc], fc))
+        # for lo = hi no turning point lies strictly between them
         if [t for t in trn if lo < t < hi] != [c]:
             continue
-        if not all(lo <= p <= hi for p in orbit_set(rho, c)):
-            continue
-        if _hull_image(rho, lo, hi) != (lo, hi):
+        image = rho.entries[lo : hi + 1]
+        if (min(image), max(image)) != (lo, hi):
             continue
         if all(any(lo <= p <= hi for p in orbit_set(rho, t)) for t in trn):
             return c
@@ -259,8 +248,6 @@ class PointClass(NamedTuple):
 
 def classify_points(rho) -> PointClass:
     rho = _as_comb(rho)
-    if not is_pm(rho):
-        raise ValueError("combinatorics has equal adjacent entries")
     trn = set(turning_points(rho))
     fatou = set()
     for i in range(rho.n + 1):

@@ -370,8 +370,9 @@ def interval_families(lam: Fraction, k_max: int) -> IntervalFamily:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    need = max(_s(k_max + 2), _s(k_max + 1) + _s(k_max - 1), _s(k_max) + _s(k_max - 1))
-    orb = TentOrbit(lam, need)
+    # no label read at level k exceeds S(k+2) = S(k+1) + S(k): S is
+    # nondecreasing, so S(k+1) + S(k-1) and S(k) + S(k-1) are at most it
+    orb = TentOrbit(lam, _s(k_max + 2))
 
     def mk(name: str, la: int, lb: int) -> LabeledInterval:
         xa, xb = orb.point(la), orb.point(lb)

@@ -282,7 +282,10 @@ def vu_structure_check(model: PLModel, dominant_row: int) -> VUStructureReport:
     )
 
     pivot = rational_from_eventually_periodic(kd.matrix[j - 1][j].coeffs[: periods[j - 1][0]], cycles[j - 1][j])
-    # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t)
-    minor = _rational_determinant(kd) * RationalFn.from_poly((1, -kd.shape[j - 1]))
-    factors_ok = pivot.at_zero() != 0 and (minor * pivot.reciprocal()).den == (1,)
+    # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t);
+    # its quotient by the pivot, reduced, must have denominator 1
+    det = _rational_determinant(kd)
+    factors_ok = pivot.at_zero() != 0 and RationalFn(
+        poly_mul(poly_mul(det.num, (1, -kd.shape[j - 1])), pivot.den), poly_mul(det.den, pivot.num)
+    ).den == (1,)
     return VUStructureReport(rows_ok and factors_ok, rows_ok, factors_ok)

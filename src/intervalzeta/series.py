@@ -350,17 +350,8 @@ class RationalFn(Value):
         object.__setattr__(self, "num", tuple(Q(x, c) for x in a))
         object.__setattr__(self, "den", tuple(Q(x, c) for x in b))
 
-    @classmethod
-    def from_poly(cls, p) -> "RationalFn":
-        return cls(poly_trim(p), (Q(1),))
-
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
-    def reciprocal(self) -> "RationalFn":
-        if not self.num or self.num[0] == 0:
-            raise ValueError("reciprocal would have a pole at 0")
-        return RationalFn(self.den, self.num)
 
     def at_zero(self) -> Fraction:
         return self.num[0] if self.num else Q(0)
@@ -406,8 +397,6 @@ def detect_eventual_periodicity(coeffs: Sequence[int]) -> PeriodicityCertificate
     """
     coeffs = list(coeffs)
     depth = len(coeffs)
-    if depth == 0:
-        return None
     bound = depth // 3
     for k in range(1, bound + 1):
         # a period that holds from p holds from every later preperiod, and
@@ -451,9 +440,8 @@ def cyclotomic_peel(poly: Sequence) -> tuple[list[int], tuple[Fraction, ...]]:
         raise ValueError("polynomial must have constant term 1")
     factors: list[int] = []
     while cur != (Q(1),):
-        p = next((i for i in range(1, len(cur)) if cur[i] != 0), None)
-        if p is None:
-            break
+        # cur is trimmed, starts with 1 and is not (1,): some cur[p] != 0
+        p = next(i for i in range(1, len(cur)) if cur[i] != 0)
         if cur[p] > 0:
             break
         fac = poly_trim([1] + [0] * (p - 1) + [-1])

@@ -27,6 +27,30 @@ class NonIntegralCountError(ValueError):
 MAX_FROM_COUNTS_WORK = 5 * 10**12
 
 
+# the most work, (n_1 n_2 b)^2, that zeta mt-check admits: n_1 and n_2 are
+# the lengths of zeta D's numerator and denominator before reduction, and b
+# the bits of zeta's largest entry plus those of D's widest numerator or
+# denominator.  Reducing zeta and then zeta D runs primitive-PRS gcds whose
+# remainders' contents cost about that.  Fresh `zeta mt-check` processes
+# (Python 3.11, 2 cores) at this bound took 0.9-3.0 s: with D = (1-2t)/(1-t)
+# of --rho 0,2,0, 98 + 98 entries of 58 bits, 50 + 50 of 219 and 98 + 2 of
+# 1498; with a D of 133 + 134 coefficients, 98 + 98 of 9 bits.  100 + 100
+# entries of 40 digits, now refused, took 13-15 s on --rho 0,2,0.
+MAX_MT_CHECK_WORK = 36 * 10**10
+
+
+def check_mt_work(num: Sequence[int], den: Sequence[int], det: RationalFn) -> None:
+    """Refuse, before zeta = num/den is reduced, a zeta that with the
+    determinant D(t) makes more work than MAX_MT_CHECK_WORK."""
+    n1, n2 = len(num) + len(det.num), len(den) + len(det.den)
+    bits = max(1, max((abs(x).bit_length() for x in (*num, *den)), default=0))
+    bits += max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in (*det.num, *det.den))
+    work = (n1 * n2 * bits) ** 2
+    if work > MAX_MT_CHECK_WORK:
+        raise ValueError("zeta D of %d + %d entries of up to %d bits: (n_1 n_2 b)^2 = %d, capped at %d"
+                         % (n1, n2, bits, work, MAX_MT_CHECK_WORK))
+
+
 def zeta_from_counts(counts: Sequence[int], order: int) -> TruncSeries:
     """Zeta series through t**order from fixed-point counts N_1..N_order.
     Refuses, before exp runs, more work than MAX_FROM_COUNTS_WORK."""
@@ -87,10 +111,12 @@ def mt_relation_check(zeta: RationalFn, det: RationalFn) -> list[int] | None:
         raise ValueError("zeta must have constant term 1")
     if det.at_zero() != 1:
         raise ValueError("kneading determinant must have leading coefficient 1")
-    phi = (zeta * det).reciprocal()
-    if phi.den != (1,):
+    # P = zeta * D is reduced with P(0) = num[0] = 1, so 1/P = den/num is
+    # reduced too: a polynomial exactly when num is 1, and then Phi = den
+    product = zeta * det
+    if product.num != (1,):
         return None
-    factors, residual = cyclotomic_peel(phi.num)
+    factors, residual = cyclotomic_peel(product.den)
     if residual != (Q(1),):
         return None
     return factors

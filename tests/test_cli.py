@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalzeta import cubicfam, fibmap, kneading, subshift, zeta
+from intervalzeta import cli, cubicfam, fibmap, kneading, subshift, zeta
 from intervalzeta.cli import _COMMANDS, SIZE_CAPS, build_parser, main
+from intervalzeta.series import RationalFn
 from tests_support import bench_argvs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +149,23 @@ class TestZeta:
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "30 counts of up to 14285 bits: n^3 (b + n)^2 = "
                                                           "5532819075000, capped at 5000000000000"}
+
+    def test_mt_check_over_budget_is_refused(self, capsys, monkeypatch):
+        # refused before zeta is reduced; 100 + 100 entries of 40 digits ran
+        # 13-15 s.  Here zeta is never reduced: the stand-in records the
+        # entries and gives 1, which does not peel
+        built = []
+        monkeypatch.setattr(cli, "RationalFn", lambda num, den: built.append((num, den)) or RationalFn((1,), (1,)))
+        entries = ",".join([str(2**58 - 1)] * 98)
+        argv = ["zeta", "mt-check", "--rho", "0,2,0", "--zeta-num", entries]
+        assert run_cli(capsys, *argv, "--zeta-den", entries) == (
+            1, '{"ok":false,"reason":"no cyclotomic factorization found","rho":[0,2,0]}\n')
+        assert len(built) == 1
+        code, out = run_cli(capsys, *argv, "--zeta-den", entries + ",1")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": "zeta D of 100 + 101 entries of up to 60 bits: "
+                                                          "(n_1 n_2 b)^2 = 367236000000, capped at 360000000000"}
+        assert len(built) == 1
 
     def test_closed_form(self, capsys):
         code, out = run_cli(capsys, "zeta", "closed-form", "--nu", "2")
@@ -408,6 +426,21 @@ class TestContract:
                 main(argv)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["cubic", "count", "--n", "1", "--s"], ["fib", "check", "--lambda"],
+                                      ["cubic", "sweep", "--to", "2", "--steps", "1", "--from"],
+                                      ["cubic", "sweep", "--from", "1", "--steps", "1", "--to"]])
+    def test_huge_decimal_exponent_is_usage_error(self, capsys, argv):
+        # refused before Fraction builds 10^|exponent|; 1e-10000000 took 9-21 s
+        flag = argv[-1]
+        for value in ("1e-999999999", "1e10000000", "1E-4300", "2.5e+4300"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [value])
+            assert exc.value.code == 2
+            assert ("argument %s: a decimal exponent must be below 4300 in size: %r" % (flag, value)
+                    in capsys.readouterr().err)
+        # an exponent of 4299 is parsed; the domain refuses it
+        assert run_cli(capsys, *argv, "1e4299")[0] == 1
 
     def test_huge_size_is_usage_error(self, capsys):
         # refused before generate_vu would allocate a list of that length

@@ -1,5 +1,7 @@
 from fractions import Fraction as Q
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from intervalzeta.combinatorics import (
     pl_model,
     turning_points,
 )
-from tests_support import vu_closed_form
+from tests_support import virtually_unimodal_five_conditions, vu_closed_form
 
 RHO0 = (0, 2, 3, 1, 0)
 
@@ -156,6 +158,11 @@ class TestPredicates:
         if turning_points(rho) and is_own_combinatorics(rho):
             assert induced_combinatorics(rho).entries == rho.entries
 
+    @pytest.mark.parametrize("predicate", [is_own_combinatorics, classify_points])
+    def test_not_pm_is_refused(self, predicate):
+        with pytest.raises(ValueError, match="^combinatorics has equal adjacent entries$"):
+            predicate((0, 3, 3, 2, 0))
+
     def test_framed_examples(self):
         assert is_framed((7, 3, 4, 5, 6, 3, 2, 0))
         assert is_framed((0, 1))
@@ -183,6 +190,25 @@ class TestVirtuallyUnimodal:
         assert (min(values), max(values)) == (lo, hi)
 
 
+    def test_census_matches_five_conditions(self):
+        # every vector in {0..n}^(n+1), n <= 5: the value, or the error's type
+        # and message, of the three-condition test equals the five-condition
+        # reference's
+        def outcome(test, rho):
+            try:
+                return test(rho)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        seen = set()
+        for n in range(1, 6):
+            for rho in product(range(n + 1), repeat=n + 1):
+                got = outcome(is_virtually_unimodal, rho)
+                assert got == outcome(virtually_unimodal_five_conditions, rho), rho
+                seen.add(type(got))
+        assert seen == {int, type(None), tuple}
+
+
 class TestClassifyAndExpanding:
     def test_fatou_points_of_generated_vector(self):
         cls = classify_points((7, 3, 4, 5, 6, 3, 2, 0))
@@ -204,6 +230,11 @@ class TestClassifyAndExpanding:
     def test_not_expanding_when_pair_cycles(self):
         check = is_expanding((0, 1, 3, 2, 4))
         assert not check and check.cycling_edge == 0
+
+    def test_witnesses_are_recorded(self):
+        # Julia edges (0, 1) and (3, 4) separate after one and two steps
+        check = is_expanding((1, 3, 4, 1, 0))
+        assert check and check.witnesses == {0: 1, 3: 2}
 
     def test_identity_not_expanding(self):
         assert not is_expanding((0, 1, 2, 3))
@@ -293,6 +324,10 @@ class TestPeriodicOrbits:
         for count in (count_fixed_points_of_iterate, periodic_orbits_of_pl):
             with pytest.raises(ValueError, match="not piecewise monotone"):
                 count(pl_model(rho), p)
+
+    def test_interval_of_fixed_points_is_refused(self):
+        with pytest.raises(ValueError, match="^iterate has an interval of fixed points; count undefined$"):
+            count_fixed_points_of_iterate(pl_model((0, 1)), 1)
 
     def test_full_tent_counts_double(self):
         model = pl_model((0, 2, 0))

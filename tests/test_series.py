@@ -180,6 +180,11 @@ class TestCyclotomicPeel:
         factors, residual = cyclotomic_peel((1, 1))
         assert factors == [] and residual == (Q(1), Q(1))
 
+    def test_inexact_division_stops(self):
+        # the coefficient of t is negative, but 1 - t does not divide 1 - t - t^2
+        factors, residual = cyclotomic_peel((1, -1, -1))
+        assert factors == [] and residual == (1, -1, -1)
+
     @given(st.lists(st.integers(1, 4), min_size=0, max_size=4))
     @settings(max_examples=40)
     def test_factors_multiply_back(self, exponents):

@@ -16,7 +16,27 @@ from intervalzeta.zeta import (
 )
 
 FIB_ZETA = RationalFn((1,), (1, -1, -1))
-ONE = RationalFn.from_poly((1,))
+ONE = RationalFn((1,), (1,))
+# the kneading determinant of the full tent (0, 2, 0): two coefficients on
+# each side, of at most 2 bits
+FULL_TENT_D = RationalFn((1, -2), (1, -1))
+
+
+def unit_polys():
+    """Small integer polynomials with constant term 1."""
+    return st.lists(st.integers(-3, 3), max_size=4).map(lambda tail: (1, *tail))
+
+
+@st.composite
+def peelable_pairs(draw):
+    """(exponents, zeta, D) with zeta = 1/(Phi D), Phi the product of the
+    (1 - t^p) factors."""
+    det = RationalFn(draw(unit_polys()), draw(unit_polys()))
+    exponents = draw(st.lists(st.integers(1, 4), max_size=3))
+    phi = (1,)
+    for p in exponents:
+        phi = poly_mul(phi, (1,) + (0,) * (p - 1) + (-1,))
+    return exponents, RationalFn(det.den, poly_mul(phi, det.num)), det
 
 
 class TestZetaFromCounts:
@@ -47,6 +67,29 @@ class TestZetaFromCounts:
         with pytest.raises(ValueError, match="capped at"):
             zeta_from_counts([*at_bound, 1], 21)
         assert ran == [20, 20]
+
+
+class TestMTWork:
+    def test_work_over_budget_is_refused(self):
+        # 98 + 98 entries of 58 bits with the full tent's D make
+        # (n_1 n_2 b)^2 = (100 * 100 * (58 + 2))^2, the bound itself; an entry
+        # of one bit more is over it
+        at_bound = [2**58 - 1] * 98
+        assert (100 * 100 * 60) ** 2 == zeta.MAX_MT_CHECK_WORK
+        zeta.check_mt_work(at_bound, at_bound, FULL_TENT_D)
+        with pytest.raises(ValueError, match=r"^zeta D of 100 \+ 100 entries of up to 61 bits: \(n_1 n_2 b\)\^2 = "
+                                             r"372100000000, capped at 360000000000$"):
+            zeta.check_mt_work(at_bound, [*at_bound[1:], 2**58], FULL_TENT_D)
+        with pytest.raises(ValueError, match="capped at"):
+            zeta.check_mt_work([*at_bound, 1], at_bound, FULL_TENT_D)
+
+    @pytest.mark.parametrize("det", [RationalFn((1, 1, 1, -2), (1, -1)), RationalFn((1, -4), (1, -1))])
+    def test_size_of_d_counts(self, det):
+        # a longer D, or one with a wider coefficient, takes the zeta at the
+        # bound over it
+        at_bound = [2**58 - 1] * 98
+        with pytest.raises(ValueError, match="capped at"):
+            zeta.check_mt_work(at_bound, at_bound, det)
 
 
 class TestCountsFromZeta:
@@ -103,7 +146,7 @@ class TestClosedForm:
         # without its factor 1/(1 - t^3) the closed form counts the fixed
         # points of the iterates of the PL model of generate_vu(nu)
         model = pl_model(generate_vu(nu))
-        rf = zeta_vu_closed_form(nu) * RationalFn.from_poly((1, 0, 0, -1))
+        rf = zeta_vu_closed_form(nu) * RationalFn((1, 0, 0, -1), (1,))
         assert counts_from_zeta(rf, p_max) == [count_fixed_points_of_iterate(model, p) for p in range(1, p_max + 1)]
 
     def test_counts_are_nonnegative_integers(self):
@@ -137,6 +180,20 @@ class TestMTRelation:
         # phi = 1 - t^20
         zeta_rf = RationalFn((1,), (1,) + (0,) * 19 + (-1,))
         assert mt_relation_check(zeta_rf, ONE) == [20]
+
+    @given(st.tuples(unit_polys(), unit_polys(), unit_polys(), unit_polys()))
+    @settings(max_examples=150)
+    def test_matches_the_reciprocal_reference(self, polys):
+        zeta_rf, det = RationalFn(*polys[:2]), RationalFn(*polys[2:])
+        assert mt_relation_check(zeta_rf, det) == ref.mt_relation_reference(zeta_rf, det)
+
+    @given(peelable_pairs())
+    @settings(max_examples=150)
+    def test_peels_one_over_phi_d(self, case):
+        exponents, zeta_rf, det = case
+        factors = mt_relation_check(zeta_rf, det)
+        assert factors == ref.mt_relation_reference(zeta_rf, det)
+        assert sorted(factors) == sorted(exponents)
 
     def test_pole_beyond_truncation_returns_none(self):
         # phi = 1/(1 - t^40), whose expansion is 1 through t^39

@@ -2,8 +2,9 @@
 plain-Fraction reference implementations of the integer series kernels, the
 Laplace expansion that series_matrix_det replaced, the unimodal sign
 sequence and per-column determinants the kneading tests compare against,
-the closed form of the virtually unimodal family, the exact tent-map
-references of the Fibonacci bisection, the scan of every (period,
+the closed form of the virtually unimodal family, the five-condition
+virtually-unimodal test, Phi built as the reciprocal of zeta D, the exact
+tent-map references of the Fibonacci bisection, the scan of every (period,
 preperiod) pair that detect_eventual_periodicity replaced, the all-pairs
 disjointness and structure checks that the sorted sweeps replaced, and the
 argv of the benchmark's jobs."""
@@ -16,10 +17,10 @@ from itertools import zip_longest
 from math import lcm
 from pathlib import Path
 
-from intervalzeta.combinatorics import Combinatorics, PLModel, turning_points
+from intervalzeta.combinatorics import Combinatorics, PLModel, is_own_combinatorics, orbit_set, turning_points
 from intervalzeta.fibmap import _C, _R, IntervalFamily, TentOrbit, _s
 from intervalzeta.kneading import KneadingData
-from intervalzeta.series import PeriodicityCertificate, TruncSeries, _convolve, poly_trim
+from intervalzeta.series import PeriodicityCertificate, RationalFn, TruncSeries, _convolve, cyclotomic_peel, poly_trim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -224,6 +225,18 @@ def rational_fn_fields(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, 
     return num, den
 
 
+def mt_relation_reference(zeta: RationalFn, det: RationalFn) -> list[int] | None:
+    """mt_relation_check with Phi built as the reduced RationalFn 1/(zeta D)."""
+    if zeta.at_zero() != 1 or det.at_zero() != 1:
+        raise ValueError("zeta and D must have constant term 1")
+    product = zeta * det
+    phi = RationalFn(product.den, product.num)
+    if phi.den != (1,):
+        return None
+    factors, residual = cyclotomic_peel(phi.num)
+    return factors if residual == (1,) else None
+
+
 def exp(series: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term."""
     if series.coeffs[0] != 0:
@@ -304,6 +317,32 @@ def vu_closed_form(nu: int) -> Combinatorics:
     entries[nu : nu + 5] = [nu + 2, nu + 3, nu + 4, nu + 1, nu]
     entries[n] = 0
     return Combinatorics(tuple(entries))
+
+
+def virtually_unimodal_five_conditions(rho) -> int | None:
+    """is_virtually_unimodal as it tested all five conditions: lo < hi, c the
+    only turning point inside H, the orbit of c inside H, F(H) = H, and every
+    turning orbit meeting H."""
+    rho = Combinatorics(tuple(rho))
+    if not is_own_combinatorics(rho):
+        raise ValueError("combinatorics is not its own combinatorics")
+    trn = turning_points(rho)
+    for c in trn:
+        fc = rho[c]
+        f2c = rho[fc]
+        lo, hi = min(f2c, fc), max(f2c, fc)
+        if lo >= hi:
+            continue
+        if [t for t in trn if lo < t < hi] != [c]:
+            continue
+        if not all(lo <= p <= hi for p in orbit_set(rho, c)):
+            continue
+        vals = [rho[j] for j in range(lo, hi + 1)]
+        if (min(vals), max(vals)) != (lo, hi):
+            continue
+        if all(any(lo <= p <= hi for p in orbit_set(rho, t)) for t in trn):
+            return c
+    return None
 
 
 # ---------------------------------------------------------------------------
