@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import combinatorics as comb
 from . import cubicfam, fibmap, kneading, subshift, zeta
-from .series import RationalFn, detect_eventual_periodicity, rf_to_series
+from .series import RationalFn, detect_eventual_periodicity, poly_mul, rf_to_series
 
 
 class DomainFailure(Exception):
@@ -258,7 +258,7 @@ def _cmd_knead_unimodal(args):
 
 def _cmd_zeta_from_counts(args):
     counts = args.counts
-    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts, len(counts)).to_json()}, args)
+    _emit({"counts": counts, "zeta": zeta.zeta_from_counts(counts).to_json()}, args)
 
 
 def _cmd_zeta_sft(args):
@@ -275,11 +275,11 @@ def _cmd_zeta_closed_form(args):
 def _cmd_zeta_mt_check(args):
     model = comb.pl_model(args.rho)
     det = kneading.kneading_rational(model)
-    zeta.check_mt_work(args.zeta_num, args.zeta_den, det)
-    rf = RationalFn(tuple(args.zeta_num), tuple(args.zeta_den))
-    factors = zeta.mt_relation_check(rf, det)
+    factors = zeta.mt_relation_check(args.zeta_num, args.zeta_den, det)
     if factors is None:
         raise DomainFailure("no cyclotomic factorization found", rho=list(model.rho))
+    # zeta = 1/(Phi D), Phi the product of the (1 - t^p), in reduced form
+    rf = RationalFn(det.den, functools.reduce(poly_mul, [(1, *[0] * (p - 1), -1) for p in factors], det.num))
     _emit({"rho": list(model.rho), "zeta": rf.to_json(), "phi_factors": factors}, args)
 
 

@@ -399,11 +399,7 @@ def periodic_orbits_of_pl(model: PLModel, p: int) -> PeriodicOrbits:
     for x in sorted(solutions):
         if x in seen:
             continue
-        cycle = [x]
-        y = model(x)
-        while y != x:
-            cycle.append(y)
-            y = model(y)
+        cycle = eventual_path(model, x)[0]  # x is periodic: the path is its cycle
         seen.update(cycle)
         if len(cycle) == p:
             first = min(range(len(cycle)), key=lambda k: cycle[k])

@@ -7,6 +7,7 @@ is checked exactly by peeling Phi into (1 - t^p) factors.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .series import Q, RationalFn, TruncSeries, cyclotomic_peel, poly_mul, poly_sub, rf_to_series
@@ -16,54 +17,27 @@ class NonIntegralCountError(ValueError):
     """A zeta function whose logarithmic derivative is not integer-valued."""
 
 
-# the most work, n^3 (b + n)^2, that zeta_from_counts admits for n = order
-# terms from counts of at most b bits (at least 1): exp makes about n^2 / 2
-# products of an integer of up to about n (b + n) bits by one of b + n bits,
-# and printing the n coefficients, of up to about n (b + n) bits, costs as
-# much again in CPython's quadratic int-to-str.  Fresh `zeta from-counts`
-# processes (Python 3.11, 2 cores) took 3.1-3.5 s at this bound: 200, 100, 50
-# and 29 counts of 590, 2136, 6274 and 14284 bits; 36 counts of 14284 bits
+# the most work, n^3 (b + n)^2, that zeta_from_counts admits for n counts
+# of at most b bits (at least 1): exp makes about n^2 / 2 products of an
+# integer of up to about n (b + n) bits by one of b + n bits, and printing
+# the n coefficients, of up to about n (b + n) bits, costs as much again in
+# CPython's quadratic int-to-str.  Fresh `zeta from-counts` processes
+# (Python 3.11, 2 cores) took 3.1-3.5 s at this bound: 200, 100, 50 and 29
+# counts of 590, 2136, 6274 and 14284 bits; 36 counts of 14284 bits
 # (9.6e12) took 6.1 s.
 MAX_FROM_COUNTS_WORK = 5 * 10**12
 
 
-# the most work, (n_1 n_2 b)^2, that zeta mt-check admits: n_1 and n_2 are
-# the lengths of zeta D's numerator and denominator before reduction, and b
-# the bits of zeta's largest entry plus those of D's widest numerator or
-# denominator.  Reducing zeta and then zeta D runs primitive-PRS gcds whose
-# remainders' contents cost about that.  Fresh `zeta mt-check` processes
-# (Python 3.11, 2 cores) at this bound took 0.9-3.0 s: with D = (1-2t)/(1-t)
-# of --rho 0,2,0, 98 + 98 entries of 58 bits, 50 + 50 of 219 and 98 + 2 of
-# 1498; with a D of 133 + 134 coefficients, 98 + 98 of 9 bits.  100 + 100
-# entries of 40 digits, now refused, took 13-15 s on --rho 0,2,0.
-MAX_MT_CHECK_WORK = 36 * 10**10
-
-
-def check_mt_work(num: Sequence[int], den: Sequence[int], det: RationalFn) -> None:
-    """Refuse, before zeta = num/den is reduced, a zeta that with the
-    determinant D(t) makes more work than MAX_MT_CHECK_WORK."""
-    n1, n2 = len(num) + len(det.num), len(den) + len(det.den)
-    bits = max(1, max((abs(x).bit_length() for x in (*num, *den)), default=0))
-    bits += max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in (*det.num, *det.den))
-    work = (n1 * n2 * bits) ** 2
-    if work > MAX_MT_CHECK_WORK:
-        raise ValueError("zeta D of %d + %d entries of up to %d bits: (n_1 n_2 b)^2 = %d, capped at %d"
-                         % (n1, n2, bits, work, MAX_MT_CHECK_WORK))
-
-
-def zeta_from_counts(counts: Sequence[int], order: int) -> TruncSeries:
-    """Zeta series through t**order from fixed-point counts N_1..N_order.
+def zeta_from_counts(counts: Sequence[int]) -> TruncSeries:
+    """Zeta series through t**n from the fixed-point counts N_1..N_n.
     Refuses, before exp runs, more work than MAX_FROM_COUNTS_WORK."""
-    if len(counts) < order:
-        raise ValueError("need counts N_1..N_%d" % order)
-    bits = max(1, max((c.bit_length() for c in counts[:order]), default=0))
-    work = order**3 * (bits + order) ** 2
+    n = len(counts)
+    bits = max(1, max((c.bit_length() for c in counts), default=0))
+    work = n**3 * (bits + n) ** 2
     if work > MAX_FROM_COUNTS_WORK:
         raise ValueError("%d counts of up to %d bits: n^3 (b + n)^2 = %d, capped at %d"
-                         % (order, bits, work, MAX_FROM_COUNTS_WORK))
-    log_zeta = TruncSeries.from_coeffs(
-        [0] + [Q(counts[n - 1], n) for n in range(1, order + 1)], order
-    )
+                         % (n, bits, work, MAX_FROM_COUNTS_WORK))
+    log_zeta = TruncSeries.from_coeffs([0] + [Q(c, k) for k, c in enumerate(counts, 1)], n)
     return log_zeta.exp()
 
 
@@ -101,22 +75,43 @@ def zeta_vu_closed_form(nu: int) -> RationalFn:
     return RationalFn((Q(1),), den)
 
 
-def mt_relation_check(zeta: RationalFn, det: RationalFn) -> list[int] | None:
-    """Recover Phi = 1/(zeta * D) and peel it into (1 - t^p) factors.
+def mt_relation_check(num: Sequence, den: Sequence, det: RationalFn) -> list[int] | None:
+    """Recover Phi = 1/(zeta D) for zeta = num/den, which need not be
+    reduced, and peel it into (1 - t^p) factors.
 
-    Returns the factor exponents when Phi is a polynomial (reduced
-    denominator 1) that peels completely; None otherwise.
+    Returns the factor exponents when Phi is a polynomial that peels
+    completely; None otherwise.  Nothing is reduced.  With P = num D.num
+    and Q = den D.den over one common denominator, P(0) = Q(0) != 0, and
+    Phi = Q/P is divided out from the constant term up:
+    Phi_k = (Q_k - sum_{j>=1} P_j Phi_{k-j}) / P_0 for k <= n = deg Q - deg P.
+    A Phi that peels is a product of r <= n factors (1 - t^p), whose
+    coefficient sizes sum to at most 2^r, so |Phi_k| <= 2^n; the division
+    stops at the first Phi_k that is not an integer or is larger than 2^n.
+    Each Phi_k kept thus has at most n + 1 bits, and each partial sum at
+    most n + 2 + log2(len P) bits more than the widest entry of P and Q:
+    no integer grows with k, as the remainders of a gcd would.  Phi is then
+    the quotient exactly when P Phi = Q.
     """
-    if zeta.at_zero() != 1:
+    if not den or den[0] == 0:
+        raise ValueError("denominator must have nonzero constant term")
+    if not num or num[0] != den[0]:
         raise ValueError("zeta must have constant term 1")
     if det.at_zero() != 1:
         raise ValueError("kneading determinant must have leading coefficient 1")
-    # P = zeta * D is reduced with P(0) = num[0] = 1, so 1/P = den/num is
-    # reduced too: a polynomial exactly when num is 1, and then Phi = den
-    product = zeta * det
-    if product.num != (1,):
+    products = poly_mul(num, det.num), poly_mul(den, det.den)
+    d = lcm(*(c.denominator for f in products for c in f))
+    p, q = ([c.numerator * (d // c.denominator) for c in f] for f in products)
+    n = len(q) - len(p)
+    if n < 0:
         return None
-    factors, residual = cyclotomic_peel(product.den)
-    if residual != (Q(1),):
+    phi: list[int] = []
+    for k in range(n + 1):
+        s = q[k] - sum(p[j] * phi[k - j] for j in range(1, min(k + 1, len(p))))
+        c, r = divmod(s, p[0])
+        if r or abs(c) > 1 << n:
+            return None
+        phi.append(c)
+    if poly_mul(p, phi) != tuple(q):
         return None
-    return factors
+    factors, residual = cyclotomic_peel(phi)
+    return factors if residual == (1,) else None

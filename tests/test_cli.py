@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalzeta import cli, cubicfam, fibmap, kneading, subshift, zeta
+from intervalzeta import cubicfam, fibmap, kneading, series, subshift, zeta
 from intervalzeta.cli import _COMMANDS, SIZE_CAPS, build_parser, main
 from intervalzeta.series import RationalFn
 from tests_support import bench_argvs
@@ -131,7 +131,7 @@ class TestZeta:
         code, out = run_cli(capsys, "zeta", "from-counts", "--counts", ",".join(map(str, counts)))
         assert code == 0
         with no_int_str_limit():
-            assert json.loads(out) == {"counts": counts, "zeta": zeta.zeta_from_counts(counts, 5).to_json()}
+            assert json.loads(out) == {"counts": counts, "zeta": zeta.zeta_from_counts(counts).to_json()}
 
     def test_sft_over_budget_is_refused(self, capsys, monkeypatch):
         # refused before the first product; at --n 120 this ran 31 s
@@ -150,22 +150,27 @@ class TestZeta:
         assert json.loads(out) == {"ok": False, "reason": "30 counts of up to 14285 bits: n^3 (b + n)^2 = "
                                                           "5532819075000, capped at 5000000000000"}
 
-    def test_mt_check_over_budget_is_refused(self, capsys, monkeypatch):
-        # refused before zeta is reduced; 100 + 100 entries of 40 digits ran
-        # 13-15 s.  Here zeta is never reduced: the stand-in records the
-        # entries and gives 1, which does not peel
-        built = []
-        monkeypatch.setattr(cli, "RationalFn", lambda num, den: built.append((num, den)) or RationalFn((1,), (1,)))
-        entries = ",".join([str(2**58 - 1)] * 98)
-        argv = ["zeta", "mt-check", "--rho", "0,2,0", "--zeta-num", entries]
-        assert run_cli(capsys, *argv, "--zeta-den", entries) == (
+    def test_wide_mt_check_reduces_nothing_wide(self, capsys, monkeypatch):
+        # 100 + 100 entries of 40 digits: reducing this zeta ran 13-15 s.  No
+        # polynomial gcd sees an entry wider than 64 bits, the determinant's
+        # own reduction included
+        widest, gcd_ints = [], series._gcd_ints
+        monkeypatch.setattr(series, "_gcd_ints", lambda a, b: widest.append(
+            max(abs(x).bit_length() for x in (*a, *b))) or gcd_ints(a, b))
+        entries = ",".join(["1"] + [str(10**40 - 1)] * 99)
+        assert run_cli(capsys, "zeta", "mt-check", "--rho", "0,2,0", "--zeta-num", entries,
+                       "--zeta-den", entries) == (
             1, '{"ok":false,"reason":"no cyclotomic factorization found","rho":[0,2,0]}\n')
-        assert len(built) == 1
-        code, out = run_cli(capsys, *argv, "--zeta-den", entries + ",1")
-        assert code == 1
-        assert json.loads(out) == {"ok": False, "reason": "zeta D of 100 + 101 entries of up to 60 bits: "
-                                                          "(n_1 n_2 b)^2 = 367236000000, capped at 360000000000"}
-        assert len(built) == 1
+        assert max(widest) <= 64
+
+    def test_mt_check_prints_the_reduced_zeta(self, capsys):
+        # zeta = 1/(1 - 2t) of the full tent, times a factor of 20 digits
+        g = (12345678901234567890, -98765432109876543210, 11111111111111111111)
+        num, den = g, tuple(int(c) for c in series.poly_mul(g, (1, -2)))
+        code, out = run_cli(capsys, "zeta", "mt-check", "--rho", "0,2,0", "--zeta-num", ",".join(map(str, num)),
+                            "--zeta-den", ",".join(map(str, den)))
+        assert code == 0
+        assert json.loads(out) == {"rho": [0, 2, 0], "zeta": RationalFn(num, den).to_json(), "phi_factors": [1]}
 
     def test_closed_form(self, capsys):
         code, out = run_cli(capsys, "zeta", "closed-form", "--nu", "2")
