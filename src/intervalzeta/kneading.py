@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence
 
 from .combinatorics import PLModel, eventual_path, turning_points
 from .series import (
-    Q,
     RationalFn,
     TruncSeries,
     poly_mul,
@@ -88,7 +87,7 @@ def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list
         comps[lap][n] += sign
         s = shape[lap]
         point, side, sign = model(point), side * s, sign * s
-    return [TruncSeries(order, tuple(map(Q, c))) for c in comps]
+    return [TruncSeries(order, tuple(c)) for c in comps]
 
 
 class KneadingData(NamedTuple):
@@ -195,7 +194,7 @@ def _check_rows(kd: KneadingData) -> None:
 
 def _rational_determinant(kd: KneadingData) -> RationalFn:
     _check_rows(kd)
-    den = (Q(1),)
+    den = (1,)
     for _, period in kd.periods:
         den = poly_mul(den, (1,) + (0,) * (period - 1) + (-1,))
     minor = series_matrix_det([row[1:] for row in kd.matrix])
@@ -222,8 +221,8 @@ def unimodal_kneading(eps: Sequence[int], order: int) -> TruncSeries:
         raise ValueError("signs must be +1 or -1")
     coeffs = [1]
     for n in range(order):
-        coeffs.append(coeffs[-1] * eps[n])
-    return TruncSeries(order, tuple(map(Q, coeffs)))
+        coeffs.append(coeffs[-1] if eps[n] == 1 else -coeffs[-1])
+    return TruncSeries(order, tuple(coeffs))
 
 
 def unimodal_rational_form(eps_prefix: Sequence[int], eps_cycle: Sequence[int]) -> RationalFn:

@@ -1,11 +1,14 @@
 """Truncated formal power series and rational functions over exact rationals.
 
-Everything here is exact: coefficients go in and come out as
-``fractions.Fraction`` values (ints are accepted), and all operations are
-closed at a stated truncation order.  Inner loops run on Python ints: the
-inputs are scaled over one common denominator, and each output coefficient
-becomes a ``Fraction`` once.  Rational functions are stored reduced, with the
-denominator normalized to constant term 1 so they expand as power series.
+Everything here is exact, and all operations are closed at a stated
+truncation order.  Coefficients go in as ints, ``fractions.Fraction`` values
+or anything ``Fraction`` reads exactly.  A coefficient comes out as an
+``int`` when it is an integer and as a ``Fraction`` otherwise, never as a
+float; the two compare, hash and print alike.  Inner loops run on Python
+ints: the inputs are scaled over one common denominator, and each output
+coefficient is divided by it once (`_q`).  Rational functions are stored
+reduced, with the denominator normalized to constant term 1 so they expand
+as power series.
 """
 
 from __future__ import annotations
@@ -20,17 +23,33 @@ from ._value import Value
 Q = Fraction
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (tuples of Fraction, lowest degree first)
+# dense polynomial helpers (tuples of rationals, lowest degree first)
 # ---------------------------------------------------------------------------
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _q(x: int, d: int) -> int | Fraction:
+    """The rational x/d of integers x and d != 0: an int when d divides x,
+    a Fraction otherwise."""
+    if d == 1:
+        return x
+    c, r = divmod(x, d)
+    return Fraction(x, d) if r else c
+
+
+def _frac(x) -> int | Fraction:
+    """A coefficient as an exact rational: an int when it is an integer."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _scaled(coeffs) -> tuple[list[int], int]:
     """The integers d*c and the least common denominator d of rational
     coefficients, so that products and reciprocals run on ints."""
+    if all(type(c) is int for c in coeffs):
+        return list(coeffs), 1
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
@@ -49,20 +68,20 @@ def _poly_ints(p) -> tuple[list[int], int]:
     return _trimmed(a), d
 
 
-def _ratios(xs: Iterable[int], d: int) -> tuple[Fraction, ...]:
+def _ratios(xs: Sequence[int], d: int) -> tuple[int | Fraction, ...]:
     """The rationals x/d, trailing zeros dropped."""
-    return tuple(_trimmed([Q(x) for x in xs] if d == 1 else [Q(x, d) for x in xs]))
+    return tuple(_trimmed(list(xs) if d == 1 else [_q(x, d) for x in xs]))
 
 
-def poly_trim(p: Sequence) -> tuple[Fraction, ...]:
+def poly_trim(p: Sequence) -> tuple[int | Fraction, ...]:
     return tuple(_trimmed([_frac(c) for c in p]))
 
 
-def poly_sub(p, q) -> tuple[Fraction, ...]:
+def poly_sub(p, q) -> tuple[int | Fraction, ...]:
     return poly_trim([_frac(a) - _frac(b) for a, b in zip_longest(p, q, fillvalue=0)])
 
 
-def poly_mul(p, q) -> tuple[Fraction, ...]:
+def poly_mul(p, q) -> tuple[int | Fraction, ...]:
     a, da = _poly_ints(p)
     b, db = _poly_ints(q)
     if not a or not b:
@@ -91,7 +110,7 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return c, r
 
 
-def poly_divmod(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def poly_divmod(p, q) -> tuple[tuple[int | Fraction, ...], tuple[int | Fraction, ...]]:
     """Exact division with remainder in Q[t], by pseudo-division on ints."""
     a, da = _poly_ints(p)
     b, db = _poly_ints(q)
@@ -101,7 +120,7 @@ def poly_divmod(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     # p = a/da and q = b/db, so quotient i is c_i db / (lc^(e-i) da) and
     # the remainder is r / (lc^e da)
     lc, e = b[-1], len(c)
-    quot = tuple(Q(x * db, lc ** (e - i) * da) for i, x in enumerate(c))
+    quot = tuple(_q(x * db, lc ** (e - i) * da) for i, x in enumerate(c))
     return quot, _ratios(r, lc**e * da)
 
 
@@ -121,7 +140,7 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def poly_compose(p, q) -> tuple[Fraction, ...]:
+def poly_compose(p, q) -> tuple[int | Fraction, ...]:
     """p(q(t)) by Horner on integer polynomials: with p = a/da and q = b/db of
     degree D in p, p(q) = sum_i a_i b^i db^(D-i) / (da db^D)."""
     a, da = _poly_ints(p)
@@ -160,7 +179,7 @@ class TruncSeries(Value):
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, coeffs: tuple[int | Fraction, ...]):
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(coeffs) != order + 1:
@@ -171,21 +190,21 @@ class TruncSeries(Value):
     @classmethod
     def from_coeffs(cls, coeffs: Iterable, order: int) -> "TruncSeries":
         cs = [_frac(c) for c in coeffs][: order + 1]
-        cs += [Q(0)] * (order + 1 - len(cs))
+        cs += [0] * (order + 1 - len(cs))
         return cls(order, tuple(cs))
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return TruncSeries(self.order, tuple(a * c for a in self.coeffs))
+            return TruncSeries(self.order, tuple(_frac(a * c) for a in self.coeffs))
         n = min(self.order, other.order)
         a, da = _scaled(self.coeffs[: n + 1])
         b, db = _scaled(other.coeffs[: n + 1])
         d = da * db
-        return TruncSeries(n, tuple(Q(c, d) for c in _convolve(a, b, n)))
+        return TruncSeries(n, tuple(_q(c, d) for c in _convolve(a, b, n)))
 
     __rmul__ = __mul__
 
@@ -196,7 +215,7 @@ class TruncSeries(Value):
         if a0 == 0:
             raise ValueError("series with zero constant term has no reciprocal")
         beta = _quotient_ints([1], a, self.order)
-        return TruncSeries(self.order, tuple(Q(d * x, a0 ** (n + 1)) for n, x in enumerate(beta)))
+        return TruncSeries(self.order, tuple(_q(d * x, a0 ** (n + 1)) for n, x in enumerate(beta)))
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""
@@ -216,7 +235,7 @@ class TruncSeries(Value):
             y.append(s)
         e, scale = [], 1  # scale = n! d^n
         for n, x in enumerate(y):
-            e.append(Q(x, scale))
+            e.append(_q(x, scale))
             scale *= (n + 1) * d
         return TruncSeries(self.order, tuple(e))
 
@@ -287,13 +306,14 @@ def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
     if m == 0:
         raise ValueError("empty matrix")
     order = min(e.order for r in rows for e in r)
-    d = lcm(*(c.denominator for r in rows for e in r for c in e.coeffs[: order + 1]))
-    block = [[[c.numerator * (d // c.denominator) for c in e.coeffs[: order + 1]] for e in r] for r in rows]
+    scaled = [[_scaled(e.coeffs[: order + 1]) for e in r] for r in rows]
+    d = lcm(*(de for r in scaled for _, de in r))
+    block = [[a if de == d else [x * (d // de) for x in a] for a, de in r] for r in scaled]
     n, shift, sign, prev = order, 0, 1, [1]
     while len(block) > 1:
         while (k := next((i for i, row in enumerate(block) if row[0][0]), None)) is None:
             if n == 0:
-                return TruncSeries(order, (Q(0),) * (order + 1))
+                return TruncSeries(order, (0,) * (order + 1))
             n, shift = n - 1, shift + 1
             for row in block:
                 row[0] = row[0][1:]
@@ -310,7 +330,7 @@ def series_matrix_det(rows: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
         ]
         prev = pivot
     scale = sign * d**m
-    return TruncSeries(order, (Q(0),) * shift + tuple(Q(x, scale) for x in block[0][0][: n + 1]))
+    return TruncSeries(order, (0,) * shift + tuple(_q(x, scale) for x in block[0][0][: n + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +367,14 @@ class RationalFn(Value):
             # leaves integer quotients
             a, b = _series_quotient(a, g, len(a) - len(g)), _series_quotient(b, g, len(b) - len(g))
         c = b[0]
-        object.__setattr__(self, "num", tuple(Q(x, c) for x in a))
-        object.__setattr__(self, "den", tuple(Q(x, c) for x in b))
+        object.__setattr__(self, "num", tuple(_q(x, c) for x in a))
+        object.__setattr__(self, "den", tuple(_q(x, c) for x in b))
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
-    def at_zero(self) -> Fraction:
-        return self.num[0] if self.num else Q(0)
+    def at_zero(self) -> int | Fraction:
+        return self.num[0] if self.num else 0
 
     def to_json(self) -> dict:
         return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
@@ -368,7 +388,7 @@ def rf_to_series(rf: RationalFn, order: int) -> TruncSeries:
     y = _quotient_ints(a, b, order)
     out, scale = [], da
     for x in y:
-        out.append(Q(x, scale))
+        out.append(_q(x, scale))
         scale *= db
     return TruncSeries(order, tuple(out))
 
@@ -426,7 +446,7 @@ def rational_from_eventually_periodic(prefix: Sequence, cycle: Sequence) -> Rati
     return RationalFn(num, [d] + [0] * (L - 1) + [-d])
 
 
-def cyclotomic_peel(poly: Sequence) -> tuple[list[int], tuple[Fraction, ...]]:
+def cyclotomic_peel(poly: Sequence) -> tuple[list[int], tuple[int | Fraction, ...]]:
     """Greedily factor a polynomial into (1 - t^p) factors.
 
     At each step the only admissible ``p`` is the lowest degree with a
@@ -439,7 +459,7 @@ def cyclotomic_peel(poly: Sequence) -> tuple[list[int], tuple[Fraction, ...]]:
     if not cur or cur[0] != 1:
         raise ValueError("polynomial must have constant term 1")
     factors: list[int] = []
-    while cur != (Q(1),):
+    while cur != (1,):
         # cur is trimmed, starts with 1 and is not (1,): some cur[p] != 0
         p = next(i for i in range(1, len(cur)) if cur[i] != 0)
         if cur[p] > 0:

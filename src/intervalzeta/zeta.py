@@ -72,7 +72,7 @@ def zeta_vu_closed_form(nu: int) -> RationalFn:
         raise ValueError("nu must be >= 2")
     phi = (1, 0, -1) if nu % 2 == 0 else (1, -1)
     den = poly_mul(poly_mul(phi, (1, 0, 0, -1)), (1, -1, -1))
-    return RationalFn((Q(1),), den)
+    return RationalFn((1,), den)
 
 
 def mt_relation_check(num: Sequence, den: Sequence, det: RationalFn) -> list[int] | None:

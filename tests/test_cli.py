@@ -36,7 +36,8 @@ PINNED_CUBIC_OUTPUT = {
 
 # exit code and SHA-256 of the stdout of exact knead and zeta commands: the
 # README ones, the generated VU vectors (nu = 2..5) at order 48, unimodal
-# closed forms, zeta from counts and closed forms, and a failing mt-check
+# closed forms, zeta from counts and closed forms, failing mt-checks, and the
+# benchmark's longest determinants and mt-checks
 PINNED_EXACT_OUTPUT = {
     "knead det --rho 0,2,3,1,0 --order 48": (0, "3e09a11cb50e3c7e550d0dbc88204d69f6738cd78865c0c89706bd7544adeef5"),
     "zeta mt-check --rho 0,2,0 --zeta-num 1 --zeta-den 1,-2 --order 32": (0, "76d2c1babdfaad078899ec184fd43cfcfceb1920caf4594ae8b7fa1e79bf4c70"),
@@ -60,6 +61,13 @@ PINNED_EXACT_OUTPUT = {
     "zeta closed-form --nu 4": (0, "268d79cad5da5fc8d54179ce3e8b728dd55bbc116820f512d04dbb008b926b4e"),
     "zeta closed-form --nu 5": (0, "512705e2493eb3be4c7705298313e1483e9fddb3cff63a3dc351825a5e9a5196"),
     "zeta mt-check --rho 7,3,4,5,6,3,2,0 --zeta-num 1 --zeta-den 1,-2": (1, "8e4860dab5686c60eb81bfecfc08859560ac33930412ee02941cfc0f88a0135a"),
+    "knead det --rho 0,2,0 --order 192": (0, "78ce4e1535f55486576700d9c7eff330fef438dc45dd25e7c16b6cfb975ea52c"),
+    "knead det --rho 0,2,3,1,0 --order 192": (0, "0a6c13bb9e4f9a57adba47dc5da8c5ca441a81a97b612a1e5ab22e6af5147ebb"),
+    "zeta mt-check --rho 0,2,3,1,0 --zeta-num 1 --zeta-den 1,-2,0,1 --order 128":
+        (0, "d1899d588d0893f18c2aa7af18e295e67554a46b25a337c3da4bb3f19c927320"),
+    "zeta mt-check --rho 9,5,7,5,6,7,8,5,4,0 --zeta-num 1 --zeta-den 1,-1,-2,0,2,2,-1,-1 --order 32":
+        (0, "e9f1cfd4d65c564f734bf314ec2210f4a48be2dcbd5da53fc4e412c5d3d9ffb8"),
+    "zeta mt-check --rho 0,6,4,5,6,7,4,3,0 --zeta-num 1 --zeta-den 1,-2": (1, "5bfa93f9315656ae40067b2554a36d8e053821f3fdd1dcf8e9c704751435faa7"),
 }
 
 

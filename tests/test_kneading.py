@@ -21,7 +21,7 @@ from intervalzeta.kneading import (
 )
 from intervalzeta.series import RationalFn, TruncSeries, rf_to_series, series_matrix_det
 
-from tests_support import _column_determinants, laplace_det, unimodal_eps
+from tests_support import _column_determinants, assert_exact, laplace_det, rational_fn_fields, unimodal_eps
 
 RHO0 = (0, 2, 3, 1, 0)
 FULL_TENT = (0, 2, 0)
@@ -274,6 +274,22 @@ class TestKneadingRational:
         model = pl_model(rho)
         expansion = rf_to_series(kneading_rational(model), 48).coeffs
         assert all(c.coeffs == expansion for c in _column_determinants(kneading_matrix(model, 48)))
+
+
+class TestCoefficientTypes:
+    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)))
+    @settings(max_examples=40, deadline=None)
+    def test_integers_come_out_as_ints(self, rho):
+        # D = M_0 / (1 - s_0 t), M_0 the minor without column 0, on Fractions
+        model, order = pl_model(rho), 24
+        rf = kneading_rational(model)
+        for got, want in zip((rf.num, rf.den), rational_fn_fields(rf.num, rf.den)):
+            assert_exact(got, want)
+        kd = kneading_matrix(model, order)
+        minor = laplace_det([row[1:] for row in kd.matrix])
+        s0 = Q(kd.shape[0])
+        want = [sum((Q(minor[k]) * s0 ** (n - k) for k in range(n + 1)), Q(0)) for n in range(order + 1)]
+        assert_exact(kneading_determinant(model, order).coeffs, want)
 
 
 class TestUnimodal:

@@ -281,6 +281,14 @@ def naive_product(a, b):
     return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Q(0)) for k in range(n + 1))
 
 
+def naive_recip(a):
+    """1/a by Fraction arithmetic, a[0] != 0."""
+    b = [Q(1) / a[0]]
+    for n in range(1, a.order + 1):
+        b.append(-sum((a[k] * b[n - k] for k in range(1, n + 1)), Q(0)) / a[0])
+    return tuple(b)
+
+
 def naive_det(rows):
     """Leibniz formula over truncated products."""
     m = len(rows)
@@ -307,10 +315,7 @@ class TestRationalCoefficients:
     def test_recip_matches_fraction_arithmetic(self, a):
         if a[0] == 0:
             return
-        b = [1 / a[0]]
-        for n in range(1, a.order + 1):
-            b.append(-sum((a[k] * b[n - k] for k in range(1, n + 1)), Q(0)) / a[0])
-        assert a.recip().coeffs == tuple(b)
+        assert a.recip().coeffs == naive_recip(a)
 
     @given(st.integers(2, 4).flatmap(lambda m: st.lists(
         st.lists(rational_series, min_size=m, max_size=m), min_size=m, max_size=m)))
@@ -413,3 +418,68 @@ class TestIntegerKernelsMatchFractionReference:
     def test_exp(self, tail, order):
         s = TruncSeries.from_coeffs([0] + tail, order)
         assert s.exp().coeffs == ref.exp(s).coeffs
+
+
+# every coefficient the layer returns is an int when it is an integer and a
+# Fraction otherwise, whatever mix of ints, bools and integral or other
+# Fractions goes in
+mixed = st.one_of(rationals, st.booleans(), st.integers(-4, 4).map(Q))
+mixed_polys = st.lists(mixed, max_size=7)
+
+
+class TestCoefficientTypes:
+    @given(mixed_polys, mixed_polys)
+    @settings(max_examples=80)
+    def test_polynomials(self, p, q):
+        ref.assert_exact(poly_trim(p), ref.poly_trim(p))
+        ref.assert_exact(series.poly_sub(p, q), ref.poly_add(p, ref.poly_scale(q, -1)))
+        ref.assert_exact(poly_mul(p, q), ref.poly_mul(p, q))
+        ref.assert_exact(poly_compose(p, q), ref.poly_compose(p, q))
+        if any(q):
+            for got, want in zip(poly_divmod(p, q), ref.poly_divmod(p, q)):
+                ref.assert_exact(got, want)
+
+    @given(mixed_polys, mixed_polys, mixed, st.integers(0, 8))
+    @settings(max_examples=80)
+    def test_series(self, p, q, c, order):
+        a, b = S(p, order), S(q, order)
+        ref.assert_exact(a.coeffs, [Q(x) for x in p[: order + 1]] + [Q(0)] * (order + 1 - len(p)))
+        ref.assert_exact((a * b).coeffs, naive_product(a, b))
+        ref.assert_exact((a * c).coeffs, [x * Q(c) for x in a.coeffs])
+        ref.assert_exact((c * a).coeffs, [x * Q(c) for x in a.coeffs])
+        if a[0]:
+            ref.assert_exact(a.recip().coeffs, naive_recip(a))
+        s = S([0, *q], order)
+        ref.assert_exact(s.exp().coeffs, ref.exp(s).coeffs)
+
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.lists(mixed_polys.map(lambda p: S(p, 5)), min_size=m, max_size=m), min_size=m, max_size=m)))
+    @settings(max_examples=40)
+    def test_matrix_det(self, rows):
+        ref.assert_exact(series_matrix_det(rows).coeffs, ref.laplace_det(rows).coeffs)
+
+    @given(rational_fns, st.integers(0, 10), mixed_polys, mixed_polys.filter(bool))
+    @settings(max_examples=80)
+    def test_rational_functions(self, parts, order, prefix, cycle):
+        rf = RationalFn(*parts)
+        for got, want in zip((rf.num, rf.den), ref.rational_fn_fields(*parts)):
+            ref.assert_exact(got, want)
+        ref.assert_exact(rf_to_series(rf, order).coeffs, ref.rf_to_series(rf, order).coeffs)
+        rf = rational_from_eventually_periodic(prefix, cycle)
+        for got, want in zip((rf.num, rf.den), ref.rational_fn_fields(rf.num, rf.den)):
+            ref.assert_exact(got, want)
+        expansion = [*prefix, *(cycle[k % len(cycle)] for k in range(order + 1))][: order + 1]
+        ref.assert_exact(rf_to_series(rf, order).coeffs, map(Q, expansion))
+
+    @given(st.lists(st.integers(1, 4), max_size=3), polys)
+    @settings(max_examples=60)
+    def test_cyclotomic_peel(self, exponents, tail):
+        phi = (1,)
+        for p in exponents:
+            phi = ref.poly_mul(phi, (1,) + (0,) * (p - 1) + (-1,))
+        poly = ref.poly_mul(phi, (1, *tail))
+        factors, residual = cyclotomic_peel(poly)
+        peeled = (1,)
+        for p in factors:
+            peeled = ref.poly_mul(peeled, (1,) + (0,) * (p - 1) + (-1,))
+        ref.assert_exact(residual, ref.poly_divmod(poly, peeled)[0])

@@ -18,7 +18,8 @@ def test_equal_values_hash_equally():
 
 def test_repr_is_built_from_the_slots():
     assert repr(Combinatorics((0, 2, 0))) == "Combinatorics(entries=(0, 2, 0))"
-    assert repr(RationalFn((1,), (1, -1))) == "RationalFn(num=(Fraction(1, 1),), den=(Fraction(1, 1), Fraction(-1, 1)))"
+    assert repr(RationalFn((1,), (1, -1))) == "RationalFn(num=(1,), den=(1, -1))"
+    assert repr(RationalFn((1,), (2, -1))) == "RationalFn(num=(Fraction(1, 2),), den=(1, Fraction(-1, 2)))"
 
 
 def test_copy_and_pickle_go_through_reduce(monkeypatch):

@@ -1,3 +1,4 @@
+from fractions import Fraction as Q
 from math import lcm
 
 import pytest
@@ -118,6 +119,18 @@ class TestCountsFromZeta:
         logz = ref.log(z)
         recovered = [int(logz[n] * n) for n in range(1, 11)]
         assert recovered == counts
+
+
+class TestCoefficientTypes:
+    @given(unit_polys(), unit_polys(), st.integers(1, 10))
+    @settings(max_examples=40)
+    def test_integers_come_out_as_ints(self, num, den, order):
+        rf = RationalFn(num, den)
+        counts = counts_from_zeta(rf, order)
+        logz = ref.log(ref.rf_to_series(rf, order))
+        ref.assert_exact(counts, [n * logz[n] for n in range(1, order + 1)])
+        log_zeta = TruncSeries(order, (Q(0), *(Q(c, k) for k, c in enumerate(counts, 1))))
+        ref.assert_exact(zeta_from_counts(counts).coeffs, ref.exp(log_zeta).coeffs)
 
 
 class TestClosedForm:

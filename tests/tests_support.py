@@ -6,8 +6,9 @@ the closed form of the virtually unimodal family, the five-condition
 virtually-unimodal test, Phi built as the reciprocal of zeta D, the exact
 tent-map references of the Fibonacci bisection, the scan of every (period,
 preperiod) pair that detect_eventual_periodicity replaced, the all-pairs
-disjointness and structure checks that the sorted sweeps replaced, and the
-argv of the benchmark's jobs."""
+disjointness and structure checks that the sorted sweeps replaced, the
+argv of the benchmark's jobs, and the check of the coefficient types the
+library returns."""
 
 import importlib.util
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 from intervalzeta.combinatorics import Combinatorics, PLModel, is_own_combinatorics, orbit_set, turning_points
 from intervalzeta.fibmap import _C, _R, IntervalFamily, TentOrbit, _s
 from intervalzeta.kneading import KneadingData
-from intervalzeta.series import PeriodicityCertificate, RationalFn, TruncSeries, _convolve, cyclotomic_peel, poly_trim
+from intervalzeta.series import PeriodicityCertificate, RationalFn, TruncSeries, _convolve, cyclotomic_peel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,6 +141,25 @@ def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def assert_exact(got, want) -> None:
+    """got equals want coefficient by coefficient, and each coefficient is an
+    int when it is an integer and a Fraction otherwise: never a float, a bool
+    or a Fraction with denominator 1."""
+    got, want = tuple(got), tuple(want)
+    assert got == want
+    for c in got:
+        assert type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1), repr(c)
+
+
+def poly_trim(p) -> tuple[Fraction, ...]:
+    """p as Fractions, trailing zeros dropped; the library's poly_trim keeps
+    integers as ints, on which the references' `/` would give floats."""
+    out = [_frac(c) for c in p]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def poly_add(p, q) -> tuple[Fraction, ...]:
