@@ -227,11 +227,11 @@ def _cmd_knead_det(args):
 
 def _cmd_knead_matrix(args):
     model = comb.pl_model(args.rho)
-    kd = kneading.kneading_matrix(model, args.order)
+    kd = kneading.kneading_matrix(model)
     payload = {
         "rho": list(model.rho),
         "shape": list(kd.shape),
-        "matrix": [[e.to_json() for e in row] for row in kd.matrix],
+        "matrix": [[e.to_json() for e in row] for row in kd.series(args.order)],
     }
     _emit(payload, args)
 

@@ -476,8 +476,8 @@ def diameter_ratios(family: IntervalFamily, k_max: int) -> DiameterReport:
     lam^S(k-1) = nu_{k-1} + 1/nu_k, and the product identity
     |D_{k+1}| lam^(S(k+2)-S(1)) = |D_0| / prod C_i is checked exactly.
     """
-    if family.k_max < k_max + 2:
-        raise ValueError("family must be built to k_max + 2")
+    if family.k_max < k_max + 1:
+        raise ValueError("family must be built to k_max + 1")
     lam = family.lam
     diam = [family.D[k].diameter for k in range(0, k_max + 2)]
     if any(d == 0 for d in diam):

@@ -5,19 +5,21 @@ state (point, side, accumulated sign) is advanced by the map, the next side
 being the current side times the slope sign of the lap the sided point sits
 in.  On PL models this is exact; no perturbation is ever needed.
 
-The increments assemble into the kneading matrix, whose determinant is
-computed exactly, as a rational function, from the minor deleting column 0;
-the row identity sum_j nu_ij(t) (1 - s_j t) = 0, by which every column
-gives the same determinant, is checked instead (Milnor-Thurston, On
-iterated maps of the interval, 1988).  The minor is one fraction-free
-elimination (`series_matrix_det`), polynomial in the number m of turning
-points; m and the total orbit length N are capped (`CAPS`).
+The increments assemble into the kneading matrix, each row kept as the
+eventually periodic word of its walk (`KneadingData`) and expanded into
+series only by `KneadingData.series`.  Its determinant is computed exactly,
+as a rational function, from the minor deleting column 0; the row identity
+sum_j nu_ij(t) (1 - s_j t) = 0, by which every column gives the same
+determinant, is checked on the words instead (Milnor-Thurston, On iterated
+maps of the interval, 1988).  The minor is one fraction-free elimination
+(`series_matrix_det`), polynomial in the number m of turning points; m and
+the total orbit length N are capped (`CAPS`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain, cycle
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -91,20 +93,34 @@ def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list
 
 
 class KneadingData(NamedTuple):
-    """The kneading matrix, m rows and m+1 columns of series with integer
-    coefficients, and the preperiod P_i and period L_i of each row."""
+    """The kneading matrix (m rows, m+1 columns) as the lap shape, the word of
+    each row and its preperiod P_i and period L_i: words[i-1][n-1] = (lap, c)
+    is row i's t^n term c e_lap for 1 <= n < P_i + L_i, the word repeats with
+    period L_i from t^(P_i) on, and the t^0 term e_i - e_{i-1} is implied."""
 
     shape: tuple[int, ...]
-    matrix: tuple[tuple[TruncSeries, ...], ...]
+    words: tuple[tuple[tuple[int, int], ...], ...]
     periods: tuple[tuple[int, int], ...]
 
     @property
     def modality(self) -> int:
-        return len(self.matrix)
+        return len(self.words)
 
-    @property
-    def order(self) -> int:
-        return self.matrix[0][0].order
+    def series(self, order: int | None = None) -> tuple[tuple[TruncSeries, ...], ...]:
+        """The rows as m+1 series each through t^order.  The default, t^N with
+        N = sum_i (P_i + L_i), is what the determinant needs; `order` is for display."""
+        if order is None:
+            order = sum(p + k for p, k in self.periods)
+        elif order < 0:
+            raise ValueError("order must be >= 0")
+        rows = []
+        for i, (word, (p, _)) in enumerate(zip(self.words, self.periods), start=1):
+            row = [[0] * (order + 1) for _ in self.shape]
+            row[i][0], row[i - 1][0] = 1, -1
+            for t, (lap, c) in zip(range(1, order + 1), chain(word, cycle(word[p - 1 :]))):
+                row[lap][t] = c
+            rows.append(tuple(TruncSeries(order, tuple(c)) for c in row))
+        return tuple(rows)
 
 
 # the largest modality m and N = sum_i (P_i + L_i) that kneading_matrix
@@ -116,9 +132,8 @@ class KneadingData(NamedTuple):
 CAPS = {"m": 20, "N": 160}
 
 
-def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
-    """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as a matrix,
-    through t^order; by default through t^N, N = sum_i (P_i + L_i).
+def kneading_matrix(model: PLModel) -> KneadingData:
+    """Kneading increments nu_i = theta(c_i^+) - theta(c_i^-) as words.
 
     From the first iterate on, c_i^- follows c_i^+ with the opposite sign, so
     row i is e_i - e_{i-1} at t^0 and 2 eps_n e_{lap_n} at t^n for n >= 1,
@@ -127,7 +142,7 @@ def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
     point, side, sign), so one walk until the first repeat fixes the whole
     row: a preperiod P_i (at least 1, for the t^0 term) and a period L_i.
     More than CAPS["m"] turning points, or N above CAPS["N"], is refused
-    with a ValueError before any row is built.
+    with a ValueError before any word is built.
     """
     turning, shape = _laps(model)
     n = model.n
@@ -144,21 +159,10 @@ def kneading_matrix(model: PLModel, order: int | None = None) -> KneadingData:
         raise ValueError("%d turning points, capped at %d" % (len(turning), CAPS["m"]))
     if total > CAPS["N"]:
         raise ValueError("N = sum of preperiods and periods = %d, capped at %d" % (total, CAPS["N"]))
-    if order is None:
-        order = total
-    elif order < 0:
-        raise ValueError("order must be >= 0")
-    rows = []
-    for i, (path, start) in enumerate(walks, start=1):
-        terms = [(_sided_lap(turning, n, point, side), 2 * sign) for point, side, sign in path]
-        cycle = len(path) - start
-        row = [[0] * (order + 1) for _ in shape]
-        row[i][0], row[i - 1][0] = 1, -1
-        for t in range(1, order + 1):
-            lap, c = terms[t if t < len(path) else start + (t - start) % cycle]
-            row[lap][t] = c
-        rows.append(tuple(TruncSeries(order, tuple(c)) for c in row))
-    return KneadingData(shape, tuple(rows), periods)
+    terms = [[(_sided_lap(turning, n, point, side), 2 * sign) for point, side, sign in path] for path, _ in walks]
+    # a walk back to its start (start 0) moves t^0 to the end of the word
+    words = tuple(tuple((t + t[start:])[1 : p + k]) for t, (_, start), (p, k) in zip(terms, walks, periods))
+    return KneadingData(shape, words, periods)
 
 
 def kneading_determinant(model: PLModel, order: int) -> TruncSeries:
@@ -182,14 +186,15 @@ def kneading_rational(model: PLModel) -> RationalFn:
 
 
 def _check_rows(kd: KneadingData) -> None:
-    """Raise unless every row i has sum_j nu_ij(t) (1 - s_j t) = 0 through t^(P_i + L_i)."""
-    for i, (row, (p, k)) in enumerate(zip(kd.matrix, kd.periods), start=1):
-        # coefficient n is sum_j nu_ij[n] - sum_j s_j nu_ij[n-1]
-        prev = 0
-        for col in zip(*(e.coeffs[: p + k + 1] for e in row)):
-            if sum(col) != prev:
+    """Raise unless every row i has sum_j nu_ij(t) (1 - s_j t) = 0: its t^1
+    coefficient is c_1 - s_i + s_{i-1} and its t^n one c_n - s_{lap_{n-1}} c_{n-1},
+    so it holds everywhere if it holds through the wrap at t^(P_i + L_i)."""
+    for i, (word, (p, _)) in enumerate(zip(kd.words, kd.periods), start=1):
+        prev = kd.shape[i] - kd.shape[i - 1]
+        for lap, c in (*word, word[p - 1]):
+            if c != prev:
                 raise KneadingError("row %d breaks the Milnor-Thurston identity" % i)
-            prev = sum(s * c for s, c in zip(kd.shape, col))
+            prev = kd.shape[lap] * c
 
 
 def _rational_determinant(kd: KneadingData) -> RationalFn:
@@ -197,12 +202,13 @@ def _rational_determinant(kd: KneadingData) -> RationalFn:
     den = (1,)
     for _, period in kd.periods:
         den = poly_mul(den, (1,) + (0,) * (period - 1) + (-1,))
-    minor = series_matrix_det([row[1:] for row in kd.matrix])
-    det = minor * TruncSeries.from_coeffs((1, -kd.shape[0]), kd.order).recip()
+    minor = series_matrix_det([row[1:] for row in kd.series()])
+    order = minor.order
+    det = minor * TruncSeries.from_coeffs((1, -kd.shape[0]), order).recip()
     if det[0] != 1:
         raise KneadingError("kneading determinant must have leading coefficient 1")
-    num = (det * TruncSeries.from_coeffs(den, kd.order)).coeffs
-    degree = kd.order - kd.modality - 1
+    num = (det * TruncSeries.from_coeffs(den, order)).coeffs
+    degree = order - kd.modality - 1
     if any(num[degree + 1 :]):
         raise KneadingError("kneading determinant exceeds its degree bound")
     return RationalFn(num[: degree + 1], den)
@@ -264,23 +270,17 @@ def vu_structure_check(model: PLModel, dominant_row: int) -> VUStructureReport:
     vanishing identically).  Both tests are exact.
     """
     kd = kneading_matrix(model)
-    m = kd.modality
     j = dominant_row
-    if not (1 <= j <= m):
+    if not (1 <= j <= kd.modality):
         raise ValueError("dominant row out of range")
-    periods = kd.periods
-    # the repeating part of every entry's coefficients
-    cycles = [[e.coeffs[p : p + k] for e in row] for row, (p, k) in zip(kd.matrix, periods)]
+    # the laps of each row's cycle, t^(P_i) on
+    cycles = [word[p - 1 :] for word, (p, _) in zip(kd.words, kd.periods)]
+    rows_ok = all(lap in (j - 1, j) for i, laps in enumerate(cycles, start=1) if i != j for lap, _ in laps)
 
-    rows_ok = all(
-        not any(cycles[i - 1][col])
-        for i in range(1, m + 1)
-        if i != j
-        for col in range(m + 1)
-        if col not in (j - 1, j)
-    )
-
-    pivot = rational_from_eventually_periodic(kd.matrix[j - 1][j].coeffs[: periods[j - 1][0]], cycles[j - 1][j])
+    # entry (j, j) through t^(P_j + L_j - 1): 1 at t^0, then c_n wherever lap_n = j
+    p = kd.periods[j - 1][0]
+    entry = [1, *(c if lap == j else 0 for lap, c in kd.words[j - 1])]
+    pivot = rational_from_eventually_periodic(entry[:p], entry[p:])
     # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t);
     # its quotient by the pivot, reduced, must have denominator 1
     det = _rational_determinant(kd)

@@ -97,7 +97,7 @@ def test_criterion_05_kneading_determinant_period_three():
     expected = rf_to_series(RationalFn((1, -1, -1), (1, 0, 0, -1)), 48)
     assert det.coeffs == expected.coeffs
     # every deletable column of the truncated matrix, not the exact path's own expansion
-    columns = _column_determinants(kneading_matrix(model, 48))
+    columns = _column_determinants(kneading_matrix(model), 48)
     assert len(columns) == 2 and all(c.coeffs == det.coeffs for c in columns)
     _report(5, "D(t) of the period-three model equals (1-t-t^2)/(1-t^3) through t^48, all columns agree")
 

@@ -421,3 +421,11 @@ class TestDiameterRatios:
         family = interval_families(fib_lambda_12, 4)
         with pytest.raises(ValueError):
             diameter_ratios(family, 4)
+
+    @pytest.mark.parametrize("kmax", [3, 5, 6])
+    def test_one_level_above_kmax_is_enough(self, kmax):
+        # diameter_ratios reads D_0..D_{kmax+1}, verify_structure levels <= kmax
+        lam = find_fib_lambda(9).lam
+        low, high = interval_families(lam, kmax + 1), interval_families(lam, kmax + 2)
+        assert diameter_ratios(low, kmax) == diameter_ratios(high, kmax)
+        assert verify_structure(low, kmax) == verify_structure(high, kmax)

@@ -21,7 +21,14 @@ from intervalzeta.kneading import (
 )
 from intervalzeta.series import RationalFn, TruncSeries, rf_to_series, series_matrix_det
 
-from tests_support import _column_determinants, assert_exact, laplace_det, rational_fn_fields, unimodal_eps
+from tests_support import (
+    _column_determinants,
+    assert_exact,
+    laplace_det,
+    rational_fn_fields,
+    unimodal_eps,
+    vu_structure_fields,
+)
 
 RHO0 = (0, 2, 3, 1, 0)
 FULL_TENT = (0, 2, 0)
@@ -124,9 +131,9 @@ class TestKneadingMatrix:
     def test_rows_are_theta_increments(self, rho, data):
         # the one walk of c_i^+ against both sided itineraries, at any order
         model = pl_model(rho)
-        order = data.draw(st.integers(0, 3 * kneading_matrix(model).order))
-        kd = kneading_matrix(model, order)
-        for i, row in enumerate(kd.matrix, start=1):
+        kd = kneading_matrix(model)
+        order = data.draw(st.integers(0, 3 * sum(p + k for p, k in kd.periods)))
+        for i, row in enumerate(kd.series(order), start=1):
             plus = theta_series(model, i, +1, order)
             minus = theta_series(model, i, -1, order)
             assert [e.coeffs for e in row] == [sub(p, q) for p, q in zip(plus, minus)]
@@ -147,7 +154,7 @@ class TestKneadingMatrix:
         assert len(calls) <= evaluations
         kd = kneading_matrix(model)
         assert kd.periods == ((1, 4),) * (nu - 1) + ((1, 3),)
-        assert kd.order == sum(p + k for p, k in kd.periods)
+        assert kd.series()[0][0].order == sum(p + k for p, k in kd.periods)
 
     def test_modality_cap(self):
         # generate_vu(20) has m = 20 and N = 99, within both caps
@@ -168,38 +175,50 @@ class TestRowIdentity:
     @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)), st.data())
     @settings(max_examples=60, deadline=None)
     def test_every_row_satisfies_the_identity(self, rho, data):
-        model = pl_model(rho)
-        kd = kneading_matrix(model, data.draw(st.integers(0, 3 * kneading_matrix(model).order)))
-        one_minus_st = [TruncSeries.from_coeffs((1, -s), kd.order) for s in kd.shape]
-        for row in kd.matrix:
+        kd = kneading_matrix(pl_model(rho))
+        rows = kd.series(data.draw(st.integers(0, 3 * sum(p + k for p, k in kd.periods))))
+        one_minus_st = [TruncSeries.from_coeffs((1, -s), rows[0][0].order) for s in kd.shape]
+        for row in rows:
             products = [e * f for e, f in zip(row, one_minus_st)]
             assert not any(map(sum, zip(*(p.coeffs for p in products))))
 
     # hand-built corruptions of the full tent's data: the one row is
-    # (-1 + 2t^2 + 2t^3, 1 - 2t) through N = 3, preperiod 2, period 1, shape
-    # (1, -1); each reaches one KneadingError
+    # (-1 + 2t^2 + 2t^3 + ..., 1 - 2t), the word ((1, -2), (0, 2)) with
+    # preperiod 2, period 1 and shape (1, -1); each reaches one KneadingError
 
     def test_row_breaking_the_identity(self):
         kd = kneading_matrix(pl_model(FULL_TENT))
-        (left, right), = kd.matrix
-        bad = TruncSeries(kd.order, right.coeffs[:2] + (right.coeffs[2] + 1,) + right.coeffs[3:])
+        assert kd.words == (((1, -2), (0, 2)),)
         with pytest.raises(KneadingError, match="row 1 breaks the Milnor-Thurston identity"):
-            _rational_determinant(kd._replace(matrix=((left, bad),)))
+            _rational_determinant(kd._replace(words=(((1, -2), (0, -2)),)))
 
-    def test_leading_coefficient_not_one(self):
-        # a doubled row keeps the identity and doubles D
+    def test_wrong_period_breaks_the_identity_at_the_wrap(self):
+        # period 2 from t^1 would make t^3 = (1, -2), where the identity needs (0, 2)
         kd = kneading_matrix(pl_model(FULL_TENT))
-        doubled = tuple(tuple(2 * e for e in row) for row in kd.matrix)
-        with pytest.raises(KneadingError, match="leading coefficient 1"):
-            _rational_determinant(kd._replace(matrix=doubled))
-
-    def test_broken_degree_bound(self):
-        # a wrong period keeps the identity checked through t^(P+L) but makes
-        # D (1 - t^2) = 1 - t - 2t^2 too long for N - m - 1 = 1
-        kd = kneading_matrix(pl_model(FULL_TENT))
-        assert kd.periods == ((2, 1),) and kd.order == 3
-        with pytest.raises(KneadingError, match="exceeds its degree bound"):
+        assert kd.periods == ((2, 1),)
+        with pytest.raises(KneadingError, match="row 1 breaks the Milnor-Thurston identity"):
             _rational_determinant(kd._replace(periods=((1, 2),)))
+
+    # words that pass the identity fix the unit lower-bidiagonal t^0 part and,
+    # by kneading_rational's argument, the degree bound: the two remaining
+    # checks guard the series arithmetic, so a faulty minor reaches them
+
+    def test_leading_coefficient_not_one(self, monkeypatch):
+        det = kneading.series_matrix_det
+        monkeypatch.setattr(kneading, "series_matrix_det", lambda rows: 2 * det(rows))
+        with pytest.raises(KneadingError, match="leading coefficient 1"):
+            kneading_rational(pl_model(FULL_TENT))
+
+    def test_broken_degree_bound(self, monkeypatch):
+        # an extra t^N in the minor makes D (1 - t) too long for N - m - 1 = 1
+        def long_det(rows):
+            d = det(rows)
+            return TruncSeries(d.order, d.coeffs[:-1] + (d.coeffs[-1] + 1,))
+
+        det = kneading.series_matrix_det
+        monkeypatch.setattr(kneading, "series_matrix_det", long_det)
+        with pytest.raises(KneadingError, match="exceeds its degree bound"):
+            kneading_rational(pl_model(FULL_TENT))
 
     def test_one_matrix_det_per_determinant(self, monkeypatch):
         calls = []
@@ -222,11 +241,11 @@ class TestKneadingDeterminant:
     def test_minors_match_laplace(self, nu):
         kd = kneading_matrix(pl_model(generate_vu(nu)))
         for col in range(kd.modality + 1):
-            minor = [row[:col] + row[col + 1 :] for row in kd.matrix]
+            minor = [row[:col] + row[col + 1 :] for row in kd.series()]
             assert series_matrix_det(minor).coeffs == laplace_det(minor).coeffs
 
     def test_column_independence(self):
-        cols = _column_determinants(kneading_matrix(pl_model(generate_vu(2)), 32))
+        cols = _column_determinants(kneading_matrix(pl_model(generate_vu(2))), 32)
         assert len(cols) == 3 and all(c.coeffs == cols[0].coeffs for c in cols)
 
     def test_leading_coefficient_is_one(self):
@@ -235,7 +254,7 @@ class TestKneadingDeterminant:
 
     def test_monotone_model_has_no_matrix(self):
         with pytest.raises(ValueError, match="no turning points"):
-            kneading_matrix(pl_model((0, 1, 2, 3)), 8)
+            kneading_matrix(pl_model((0, 1, 2, 3)))
 
     def test_lap_shape(self):
         assert lap_shape(pl_model(RHO0)) == (1, -1)
@@ -273,7 +292,7 @@ class TestKneadingRational:
         # the truncated matrix needs neither the period detection nor the degree bound
         model = pl_model(rho)
         expansion = rf_to_series(kneading_rational(model), 48).coeffs
-        assert all(c.coeffs == expansion for c in _column_determinants(kneading_matrix(model, 48)))
+        assert all(c.coeffs == expansion for c in _column_determinants(kneading_matrix(model), 48))
 
 
 class TestCoefficientTypes:
@@ -285,8 +304,8 @@ class TestCoefficientTypes:
         rf = kneading_rational(model)
         for got, want in zip((rf.num, rf.den), rational_fn_fields(rf.num, rf.den)):
             assert_exact(got, want)
-        kd = kneading_matrix(model, order)
-        minor = laplace_det([row[1:] for row in kd.matrix])
+        kd = kneading_matrix(model)
+        minor = laplace_det([row[1:] for row in kd.series(order)])
         s0 = Q(kd.shape[0])
         want = [sum((Q(minor[k]) * s0 ** (n - k) for k in range(n + 1)), Q(0)) for n in range(order + 1)]
         assert_exact(kneading_determinant(model, order).coeffs, want)
@@ -356,6 +375,16 @@ class TestVUStructure:
 
     def test_unimodal_vacuous(self):
         assert vu_structure_check(pl_model(RHO0), dominant_row=1).ok
+
+    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)))
+    @settings(max_examples=60, deadline=None)
+    def test_fields_match_the_expanded_matrix(self, rho):
+        model = pl_model(rho)
+        for j in range(1, len(turning_points(rho)) + 1):
+            report = vu_structure_check(model, dominant_row=j)
+            fields = (report.rows_polynomial_outside_pair, report.determinant_factors_through_dominant)
+            assert fields == vu_structure_fields(model, j)
+            assert report.ok == all(fields)
 
     def test_dominant_row_bounds(self):
         with pytest.raises(ValueError):

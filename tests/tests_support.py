@@ -1,9 +1,10 @@
 """Frozen expected values shared by the module tests and the acceptance suite,
 plain-Fraction reference implementations of the integer series kernels, the
 Laplace expansion that series_matrix_det replaced, the unimodal sign
-sequence and per-column determinants the kneading tests compare against,
-the closed form of the virtually unimodal family, the five-condition
-virtually-unimodal test, Phi built as the reciprocal of zeta D, the exact
+sequence, per-column determinants and VU structure fields read off the
+expanded matrix that the kneading tests compare against, the closed form
+of the virtually unimodal family, the five-condition virtually-unimodal
+test, Phi built as the reciprocal of zeta D, the exact
 tent-map references of the Fibonacci bisection, the scan of every (period,
 preperiod) pair that detect_eventual_periodicity replaced, the all-pairs
 disjointness and structure checks that the sorted sweeps replaced, the
@@ -20,8 +21,16 @@ from pathlib import Path
 
 from intervalzeta.combinatorics import Combinatorics, PLModel, is_own_combinatorics, orbit_set, turning_points
 from intervalzeta.fibmap import _C, _R, IntervalFamily, TentOrbit, _s
-from intervalzeta.kneading import KneadingData
-from intervalzeta.series import PeriodicityCertificate, RationalFn, TruncSeries, _convolve, cyclotomic_peel
+from intervalzeta.kneading import KneadingData, kneading_matrix, kneading_rational
+from intervalzeta.series import (
+    PeriodicityCertificate,
+    RationalFn,
+    TruncSeries,
+    _convolve,
+    cyclotomic_peel,
+    poly_mul,
+    rational_from_eventually_periodic,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -115,19 +124,43 @@ def laplace_det(rows) -> TruncSeries:
     return TruncSeries(order, tuple(Q(x, scale) for x in minor(tuple(range(m)))))
 
 
-def _column_determinants(kd: KneadingData) -> list[TruncSeries]:
+def _column_determinants(kd: KneadingData, order: int) -> list[TruncSeries]:
     """The determinant through t^order from each deletable column, by the
     Laplace reference."""
     m = kd.modality
-    order = kd.order
+    rows = kd.series(order)
     out = []
     for col in range(m + 1):
-        minor = [[kd.matrix[i][j] for j in range(m + 1) if j != col] for i in range(m)]
+        minor = [[rows[i][j] for j in range(m + 1) if j != col] for i in range(m)]
         det = laplace_det(minor)
         sign = 1 if col % 2 == 0 else -1
         denom = TruncSeries.from_coeffs((1, -kd.shape[col]), order)
         out.append((sign * det) * denom.recip())
     return out
+
+
+def vu_structure_fields(model: PLModel, j: int) -> tuple[bool, bool]:
+    """The two fields of vu_structure_check(model, j), read off the matrix
+    expanded through t^(3N): each row's cycle as the coefficients at
+    t^(P_i)..t^(P_i + L_i - 1) of every entry, the pivot (j, j) as the
+    rational function of its expansion."""
+    kd = kneading_matrix(model)
+    m = kd.modality
+    rows = kd.series(3 * sum(p + k for p, k in kd.periods))
+    cycles = [[e.coeffs[p : p + k] for e in row] for row, (p, k) in zip(rows, kd.periods)]
+    rows_ok = all(
+        not any(cycles[i - 1][col])
+        for i in range(1, m + 1)
+        if i != j
+        for col in range(m + 1)
+        if col not in (j - 1, j)
+    )
+    pivot = rational_from_eventually_periodic(rows[j - 1][j].coeffs[: kd.periods[j - 1][0]], cycles[j - 1][j])
+    det = kneading_rational(model)
+    factors_ok = pivot.at_zero() != 0 and RationalFn(
+        poly_mul(poly_mul(det.num, (1, -kd.shape[j - 1])), pivot.den), poly_mul(det.den, pivot.num)
+    ).den == (1,)
+    return rows_ok, factors_ok
 
 
 # ---------------------------------------------------------------------------
