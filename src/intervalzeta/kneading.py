@@ -6,14 +6,14 @@ being the current side times the slope sign of the lap the sided point sits
 in.  On PL models this is exact; no perturbation is ever needed.
 
 The increments assemble into the kneading matrix, each row kept as the
-eventually periodic word of its walk (`KneadingData`) and expanded into
-series only by `KneadingData.series`.  Its determinant is computed exactly,
-as a rational function, from the minor deleting column 0; the row identity
+eventually periodic word of its walk (`KneadingData`; `KneadingData.series`
+expands it for display).  Its determinant is computed exactly, as a
+rational function, from the minor deleting column 0; the row identity
 sum_j nu_ij(t) (1 - s_j t) = 0, by which every column gives the same
-determinant, is checked on the words instead (Milnor-Thurston, On iterated
-maps of the interval, 1988).  The minor is one fraction-free elimination
-(`series_matrix_det`), polynomial in the number m of turning points; m and
-the total orbit length N are capped (`CAPS`).
+determinant, is checked on the words (Milnor-Thurston, On iterated maps of
+the interval, 1988).  Row i times 1 - t^(L_i) is a polynomial, so the minor
+is one fraction-free elimination over Z[t] (`series_matrix_det`) and one
+exact division; m and the total orbit length N are capped (`CAPS`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .combinatorics import PLModel, eventual_path, turning_points
 from .series import (
     RationalFn,
     TruncSeries,
+    poly_divmod,
     poly_mul,
     rational_from_eventually_periodic,
     rf_to_series,
@@ -36,8 +37,8 @@ from .series import (
 
 class KneadingError(RuntimeError):
     """Internal inconsistency: a kneading row breaks the Milnor-Thurston
-    identity, or the determinant's leading coefficient is not 1 or its
-    degree bound is broken."""
+    identity, the minor is not divisible by 1 - s_0 t, or the determinant's
+    leading coefficient is not 1."""
 
 
 def _laps(model: PLModel) -> tuple[list[int], tuple[int, ...]]:
@@ -106,12 +107,9 @@ class KneadingData(NamedTuple):
     def modality(self) -> int:
         return len(self.words)
 
-    def series(self, order: int | None = None) -> tuple[tuple[TruncSeries, ...], ...]:
-        """The rows as m+1 series each through t^order.  The default, t^N with
-        N = sum_i (P_i + L_i), is what the determinant needs; `order` is for display."""
-        if order is None:
-            order = sum(p + k for p, k in self.periods)
-        elif order < 0:
+    def series(self, order: int) -> tuple[tuple[TruncSeries, ...], ...]:
+        """The rows as m+1 series each through t^order, for display."""
+        if order < 0:
             raise ValueError("order must be >= 0")
         rows = []
         for i, (word, (p, _)) in enumerate(zip(self.words, self.periods), start=1):
@@ -125,10 +123,10 @@ class KneadingData(NamedTuple):
 
 # the largest modality m and N = sum_i (P_i + L_i) that kneading_matrix
 # accepts, so that no determinant runs for long: it costs O(m^3 N^2) integer
-# operations.  kneading_rational took 0.1 s on generate_vu(20) (m = 20,
-# N = 99), and on random PM vectors 0.7-2.5 s at m = 20, N = 150..160,
-# 1.4-5.2 s at (20, 200), 11 s at (20, 331) and 43 s at (25, 449)
-# (Python 3.11.7 on a 2-core container).
+# operations.  kneading_rational took 0.11 s on generate_vu(20) (m = 20,
+# N = 99), and on random PM vectors 0.35-0.8 s at m = 20, N = 154..160,
+# 0.7-1.1 s at (20, 199..205), 2.1-3.2 s at (20, 311..332) and 11 s at
+# (25, 459) (Python 3.11.7 on a 2-core container).
 CAPS = {"m": 20, "N": 160}
 
 
@@ -179,8 +177,10 @@ def kneading_rational(model: PLModel) -> RationalFn:
     which by periodicity is enough).  So the signed minors (-1)^j M_j, which
     D(0) = 1 makes nonzero, are proportional to (1 - s_j t)_j, and
     D = M_0 / (1 - s_0 t) is what every column gives (Milnor-Thurston 1988).
-    Each M_j times Pi = prod_i (1 - t^L_i) has degree at most N - m, and
-    the s_j take both values, so D(t) Pi has degree below N - m.
+    Row i times 1 - t^(L_i) has degree below P_i + L_i, so the minor of
+    those rows, M_0 Pi with Pi = prod_i (1 - t^L_i), has degree at most
+    N - m and is eliminated exactly through t^(N - m); the s_j take both
+    values, so D Pi = M_0 Pi / (1 - s_0 t) is one exact division.
     """
     return _rational_determinant(kneading_matrix(model))
 
@@ -199,19 +199,25 @@ def _check_rows(kd: KneadingData) -> None:
 
 def _rational_determinant(kd: KneadingData) -> RationalFn:
     _check_rows(kd)
-    den = (1,)
-    for _, period in kd.periods:
-        den = poly_mul(den, (1,) + (0,) * (period - 1) + (-1,))
-    minor = series_matrix_det([row[1:] for row in kd.series()])
-    order = minor.order
-    det = minor * TruncSeries.from_coeffs((1, -kd.shape[0]), order).recip()
-    if det[0] != 1:
+    order = sum(p + k - 1 for p, k in kd.periods)
+    den, rows = (1,), []
+    for i, (word, (p, k)) in enumerate(zip(kd.words, kd.periods), start=1):
+        den = poly_mul(den, (1,) + (0,) * (k - 1) + (-1,))
+        row = [[0] * (p + k) for _ in kd.shape]
+        row[i][0], row[i - 1][0] = 1, -1
+        for n, (lap, c) in enumerate(word, start=1):
+            row[lap][n] = c
+        # times 1 - t^k, from the top down: the word repeats with period k from t^p
+        for e in row:
+            for n in reversed(range(k, p + k)):
+                e[n] -= e[n - k]
+        rows.append([TruncSeries.from_coeffs(e, order) for e in row[1:]])
+    num, rem = poly_divmod(series_matrix_det(rows).coeffs, (1, -kd.shape[0]))
+    if rem:
+        raise KneadingError("the minor is not divisible by 1 - s_0 t")
+    if not num or num[0] != 1:
         raise KneadingError("kneading determinant must have leading coefficient 1")
-    num = (det * TruncSeries.from_coeffs(den, order)).coeffs
-    degree = order - kd.modality - 1
-    if any(num[degree + 1 :]):
-        raise KneadingError("kneading determinant exceeds its degree bound")
-    return RationalFn(num[: degree + 1], den)
+    return RationalFn(num, den)
 
 
 # ---------------------------------------------------------------------------

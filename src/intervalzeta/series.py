@@ -381,16 +381,9 @@ class RationalFn(Value):
 
 
 def rf_to_series(rf: RationalFn, order: int) -> TruncSeries:
-    """Exact power-series expansion of a rational function."""
-    a, da = _scaled(rf.num)
-    b, db = _scaled(rf.den)
-    # b[0] == db because den[0] == 1, so coefficient n is y_n / (da db^n)
-    y = _quotient_ints(a, b, order)
-    out, scale = [], da
-    for x in y:
-        out.append(_q(x, scale))
-        scale *= db
-    return TruncSeries(order, tuple(out))
+    """Exact power-series expansion of a rational function: its numerator
+    times the reciprocal of its denominator."""
+    return TruncSeries.from_coeffs(rf.num, order) * TruncSeries.from_coeffs(rf.den, order).recip()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ branch-collapse map on admissible words.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product, repeat
+from operator import matmul
 from typing import Sequence
 
 Word = str
@@ -68,14 +69,14 @@ def fib_adjacency() -> AdjMatrix:
 
 
 # the most work, n^2 b^2 (k^3 + n), that sft_periodic_counts admits for a
-# k x k matrix whose largest entry has b bits (at least 1): its n products
-# make k^3 multiplications each of an entry of up to about n b bits by one of
-# b bits, and printing the n counts, of up to about n b bits, costs about
-# n^3 b^2 in CPython's quadratic int-to-str.  Fresh `zeta sft` processes
-# took 4.7-7.3 s at this bound: k = 1, 2, 5, 10 and 30 at --n 120 with
-# entries of 2395, 2330, 1683, 787 and 162 bits, and k = 30 at --n 57 with
-# 333 bits.  A 30 x 30 matrix of 100-digit entries at --n 120 (4.3e13) ran
-# 31 s.
+# k x k matrix whose largest entry has b bits (at least 1): its n - 1
+# products (counted as n, an over-count) make k^3 multiplications each of an
+# entry of up to about n b bits by one of b bits, and printing the n counts,
+# of up to about n b bits, costs about n^3 b^2 in CPython's quadratic
+# int-to-str.  Fresh `zeta sft` processes took 4.7-7.3 s at this bound,
+# making n products: k = 1, 2, 5, 10 and 30 at --n 120 with entries of
+# 2395, 2330, 1683, 787 and 162 bits, and k = 30 at --n 57 with 333 bits.
+# A 30 x 30 matrix of 100-digit entries at --n 120 (4.3e13) ran 31 s.
 MAX_SFT_WORK = 10**13
 
 
@@ -89,12 +90,8 @@ def sft_periodic_counts(a: AdjMatrix, n: int) -> list[int]:
     if work > MAX_SFT_WORK:
         raise ValueError("a %d x %d matrix of %d-bit entries at n = %d: n^2 b^2 (k^3 + n) = %d, capped at %d"
                          % (a.k, a.k, bits, n, work, MAX_SFT_WORK))
-    out = []
-    acc = a
-    for _ in range(n):
-        out.append(acc.trace())
-        acc = acc @ a
-    return out
+    # A, A^2, ..., A^n: n - 1 products
+    return [power.trace() for power in accumulate(repeat(a, n), matmul)]
 
 
 def vee_map(w: Word) -> Word:

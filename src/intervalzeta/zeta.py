@@ -1,8 +1,9 @@
 """Artin-Mazur zeta functions from periodic-point counts and closed forms.
 
 zeta(t) = exp(sum_n N_n t^n / n).  Counts are recovered from a rational
-zeta by its logarithmic derivative; the kneading relation 1/zeta = Phi * D
-is checked exactly by peeling Phi into (1 - t^p) factors.
+zeta by Newton's identities on its numerator and denominator; the kneading
+relation 1/zeta = Phi * D is checked exactly by peeling Phi into (1 - t^p)
+factors.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Sequence
 
-from .series import Q, RationalFn, TruncSeries, cyclotomic_peel, poly_mul, poly_sub, rf_to_series
+from .series import Q, RationalFn, TruncSeries, cyclotomic_peel, poly_mul
 
 
 class NonIntegralCountError(ValueError):
@@ -42,20 +43,22 @@ def zeta_from_counts(counts: Sequence[int]) -> TruncSeries:
 
 
 def counts_from_zeta(rf: RationalFn, order: int) -> list[int]:
-    """Fixed-point counts from a rational zeta via t * zeta' / zeta.
+    """Fixed-point counts from a rational zeta = p/q by Newton's identities:
+    N_n, the t^n coefficient of t zeta'/zeta = t p'/p - t q'/q, is
+    s_n(q) - s_n(p), where -t f'/f = sum_n s_n(f) t^n for f(0) = 1 and
+    s_n(f) = -n f_n - sum_{0<j<n} f_j s_{n-j}(f).
 
     Requires zeta(0) = 1.  Non-integral coefficients mean the input is not
     the zeta function of anything counting points, and are a hard error.
     """
     if rf.at_zero() != 1:
         raise ValueError("zeta must have constant term 1")
-    # zeta = p/q, so t zeta'/zeta = t (p'q - q'p) / (pq)
-    p, q = rf.num, rf.den
-    dp, dq = ([i * x for i, x in enumerate(f)][1:] for f in (p, q))
-    s = rf_to_series(RationalFn((0, *poly_sub(poly_mul(dp, q), poly_mul(dq, p))), poly_mul(p, q)), order)
+    sums: tuple[list, list] = ([], [])  # s_1(p), s_2(p), ... and the same of q
     out = []
     for n in range(1, order + 1):
-        c = s[n]
+        for f, s in zip((rf.num, rf.den), sums):
+            s.append((-n * f[n] if n < len(f) else 0) - sum(f[j] * s[n - j - 1] for j in range(1, min(n, len(f)))))
+        c = sums[1][-1] - sums[0][-1]
         if c.denominator != 1:
             raise NonIntegralCountError("coefficient of t^%d is %s" % (n, c))
         out.append(int(c))

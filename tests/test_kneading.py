@@ -77,6 +77,13 @@ def pm_rhos(draw, turns, max_n=6):
     return tuple(rho)
 
 
+def long_cycle_rhos():
+    """Permutations of {0..n}, 3 <= n <= 9, that are not monotone: at most 8
+    turning points, each turning orbit a cycle, often of length near n + 1."""
+    rhos = st.integers(3, 9).flatmap(lambda n: st.permutations(range(n + 1))).map(tuple)
+    return rhos.filter(lambda rho: turning_points(Combinatorics(rho)))
+
+
 class TestPMRhos:
     @pytest.mark.parametrize("turns", [1, 2, 3])
     @given(data=st.data())
@@ -154,7 +161,6 @@ class TestKneadingMatrix:
         assert len(calls) <= evaluations
         kd = kneading_matrix(model)
         assert kd.periods == ((1, 4),) * (nu - 1) + ((1, 3),)
-        assert kd.series()[0][0].order == sum(p + k for p, k in kd.periods)
 
     def test_modality_cap(self):
         # generate_vu(20) has m = 20 and N = 99, within both caps
@@ -200,8 +206,8 @@ class TestRowIdentity:
             _rational_determinant(kd._replace(periods=((1, 2),)))
 
     # words that pass the identity fix the unit lower-bidiagonal t^0 part and,
-    # by kneading_rational's argument, the degree bound: the two remaining
-    # checks guard the series arithmetic, so a faulty minor reaches them
+    # by kneading_rational's argument, the divisibility by 1 - s_0 t: the two
+    # remaining checks guard the series arithmetic, so a faulty minor reaches them
 
     def test_leading_coefficient_not_one(self, monkeypatch):
         det = kneading.series_matrix_det
@@ -209,16 +215,20 @@ class TestRowIdentity:
         with pytest.raises(KneadingError, match="leading coefficient 1"):
             kneading_rational(pl_model(FULL_TENT))
 
-    def test_broken_degree_bound(self, monkeypatch):
-        # an extra t^N in the minor makes D (1 - t) too long for N - m - 1 = 1
+    @pytest.mark.parametrize("rho", [FULL_TENT, reflect(FULL_TENT)], ids=["rising", "falling"])
+    def test_minor_not_divisible(self, rho, monkeypatch):
+        # the minor is D (1 - t)(1 - s_0 t) with D = (1 - 2t)/(1 - t): 1 - 3t + 2t^2
+        # (s_0 = 1) or, reflected, 1 - t - 2t^2 (s_0 = -1); one more
+        # t^(N - m) = t^2 leaves the remainder 1 by 1 - s_0 t
         def long_det(rows):
             d = det(rows)
             return TruncSeries(d.order, d.coeffs[:-1] + (d.coeffs[-1] + 1,))
 
         det = kneading.series_matrix_det
         monkeypatch.setattr(kneading, "series_matrix_det", long_det)
-        with pytest.raises(KneadingError, match="exceeds its degree bound"):
-            kneading_rational(pl_model(FULL_TENT))
+        assert kneading_matrix(pl_model(rho)).periods == ((2, 1),)
+        with pytest.raises(KneadingError, match="^the minor is not divisible by 1 - s_0 t$"):
+            kneading_rational(pl_model(rho))
 
     def test_one_matrix_det_per_determinant(self, monkeypatch):
         calls = []
@@ -241,7 +251,7 @@ class TestKneadingDeterminant:
     def test_minors_match_laplace(self, nu):
         kd = kneading_matrix(pl_model(generate_vu(nu)))
         for col in range(kd.modality + 1):
-            minor = [row[:col] + row[col + 1 :] for row in kd.series()]
+            minor = [row[:col] + row[col + 1 :] for row in kd.series(sum(p + k for p, k in kd.periods))]
             assert series_matrix_det(minor).coeffs == laplace_det(minor).coeffs
 
     def test_column_independence(self):
@@ -286,13 +296,18 @@ class TestKneadingRational:
     def test_closed_forms(self, rho, expected):
         assert kneading_rational(pl_model(rho)) == expected
 
-    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3)))
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(pm_rhos(1), pm_rhos(2), pm_rhos(3), st.integers(4, 8).flatmap(lambda m: pm_rhos(m, 16)),
+                     long_cycle_rhos()))
+    @settings(max_examples=80, deadline=None)
     def test_expansion_matches_truncated_columns(self, rho):
-        # the truncated matrix needs neither the period detection nor the degree bound
+        # the truncated matrix needs neither the period detection nor the
+        # exact division; through t^(2N) it pins the rational function, as
+        # both sides have numerator and denominator of degree below N
         model = pl_model(rho)
-        expansion = rf_to_series(kneading_rational(model), 48).coeffs
-        assert all(c.coeffs == expansion for c in _column_determinants(kneading_matrix(model), 48))
+        kd = kneading_matrix(model)
+        order = max(48, 2 * sum(p + k for p, k in kd.periods))
+        expansion = rf_to_series(kneading_rational(model), order).coeffs
+        assert all(c.coeffs == expansion for c in _column_determinants(kd, order))
 
 
 class TestCoefficientTypes:

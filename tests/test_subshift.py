@@ -85,6 +85,16 @@ class TestPeriodicCounts:
         with pytest.raises(ValueError, match="a 30 x 30 matrix of 333-bit entries at n = 120"):
             sft_periodic_counts(AdjMatrix([[10**100 - 1] * 30] * 30), 120)
 
+    def test_last_power_is_not_multiplied(self, monkeypatch):
+        # A^n is the last power read, so n counts take n - 1 products
+        calls = []
+        matmul = AdjMatrix.__matmul__
+        monkeypatch.setattr(AdjMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        assert sft_periodic_counts(fib_adjacency(), 5) == [1, 3, 4, 7, 11] and len(calls) == 4
+        monkeypatch.setattr(AdjMatrix, "__matmul__", lambda a, b: pytest.fail("a product ran"))
+        assert sft_periodic_counts(AdjMatrix([[10**4299] * 30] * 30), 1) == [30 * 10**4299]
+        assert sft_periodic_counts(fib_adjacency(), 0) == []
+
 
 class TestVeeMap:
     @pytest.mark.parametrize(
