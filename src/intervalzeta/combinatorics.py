@@ -26,8 +26,8 @@ class Combinatorics(Value):
         if n < 1:
             raise ValueError("need at least two entries")
         for i, e in enumerate(entries):
-            if not (0 <= e <= n):
-                raise ValueError("entry %d at position %d is out of {0..%d}" % (e, i, n))
+            if type(e) is not int or not (0 <= e <= n):
+                raise ValueError("entry %r at position %d is out of {0..%d}" % (e, i, n))
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -1,19 +1,19 @@
 """Kneading machinery for the PL models of piecewise monotone interval maps.
 
 One-sided itineraries of turning points are computed symbolically: a sided
-state (point, side, accumulated sign) is advanced by the map, the next side
-being the current side times the slope sign of the lap the sided point sits
-in.  On PL models this is exact; no perturbation is ever needed.
+state (point, side) is advanced by the map, the next side being the current
+side times the slope sign of the lap the sided point sits in (so from side
++1 the side is also the walk's sign).  On PL models this is exact.
 
 The increments assemble into the kneading matrix, each row kept as the
-eventually periodic word of its walk (`KneadingData`; `KneadingData.series`
-expands it for display).  Its determinant is computed exactly, as a
-rational function, from the minor deleting column 0; the row identity
-sum_j nu_ij(t) (1 - s_j t) = 0, by which every column gives the same
-determinant, is checked on the words (Milnor-Thurston, On iterated maps of
-the interval, 1988).  Row i times 1 - t^(L_i) is a polynomial, so the minor
-is one fraction-free elimination over Z[t] (`series_matrix_det`) and one
-exact division; m and the total orbit length N are capped (`CAPS`).
+eventually periodic word of its walk (`KneadingData`), read only by `_row`.
+Its determinant is computed exactly, as a rational function, from the minor
+deleting column 0; the row identity sum_j nu_ij(t) (1 - s_j t) = 0, by which
+every column gives the same determinant, is checked on each row through
+t^(P_i + L_i) (Milnor-Thurston, On iterated maps of the interval, 1988).
+Row i times 1 - t^(L_i) is a polynomial (`_numerators`), so the minor is
+one fraction-free elimination over Z[t] (`series_matrix_det`) and one exact
+division; m and the total orbit length N are capped (`CAPS`).
 """
 
 from __future__ import annotations
@@ -84,12 +84,11 @@ def theta_series(model: PLModel, turn_index: int, side: int, order: int) -> list
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     comps = [[0] * (order + 1) for _ in shape]
-    point, sign = turning[turn_index - 1], 1
+    point, start = turning[turn_index - 1], side
     for n in range(order + 1):
         lap = _sided_lap(turning, model.n, point, side)
-        comps[lap][n] += sign
-        s = shape[lap]
-        point, side, sign = model(point), side * s, sign * s
+        comps[lap][n] += start * side
+        point, side = model(point), side * shape[lap]
     return [TruncSeries(order, tuple(c)) for c in comps]
 
 
@@ -111,14 +110,28 @@ class KneadingData(NamedTuple):
         """The rows as m+1 series each through t^order, for display."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        rows = []
-        for i, (word, (p, _)) in enumerate(zip(self.words, self.periods), start=1):
-            row = [[0] * (order + 1) for _ in self.shape]
-            row[i][0], row[i - 1][0] = 1, -1
-            for t, (lap, c) in zip(range(1, order + 1), chain(word, cycle(word[p - 1 :]))):
-                row[lap][t] = c
-            rows.append(tuple(TruncSeries(order, tuple(c)) for c in row))
-        return tuple(rows)
+        rows = (_row(self, i, order + 1) for i in range(1, self.modality + 1))
+        return tuple(tuple(TruncSeries(order, tuple(e)) for e in row) for row in rows)
+
+
+def _row(kd: KneadingData, i: int, length: int) -> list[list[int]]:
+    """Row i's m+1 entries as integer coefficients through t^(length - 1)."""
+    word, (p, _) = kd.words[i - 1], kd.periods[i - 1]
+    row = [[0] * length for _ in kd.shape]
+    row[i][0], row[i - 1][0] = 1, -1
+    for n, (lap, c) in zip(range(1, length), chain(word, cycle(word[p - 1 :]))):
+        row[lap][n] = c
+    return row
+
+
+def _numerators(kd: KneadingData, i: int) -> list[list[int]]:
+    """Row i's entries times 1 - t^(L_i): polynomials of degree below
+    P_i + L_i, as the row repeats with period L_i from t^(P_i)."""
+    p, k = kd.periods[i - 1]
+    row = _row(kd, i, p + k)
+    for e in row:
+        e[k:] = [x - y for x, y in zip(e[k:], e)]
+    return row
 
 
 # the largest modality m and N = sum_i (P_i + L_i) that kneading_matrix
@@ -135,10 +148,10 @@ def kneading_matrix(model: PLModel) -> KneadingData:
 
     From the first iterate on, c_i^- follows c_i^+ with the opposite sign, so
     row i is e_i - e_{i-1} at t^0 and 2 eps_n e_{lap_n} at t^n for n >= 1,
-    where (point, side, eps_n) is the n-th sided state of c_i^+ and lap_n
-    its lap.  On a PL model that state ranges over finitely many (integer
-    point, side, sign), so one walk until the first repeat fixes the whole
-    row: a preperiod P_i (at least 1, for the t^0 term) and a period L_i.
+    where (point, eps_n) is the n-th sided state of c_i^+, whose side is its
+    walk's sign, and lap_n its lap.  On a PL model that state ranges over
+    finitely many (integer point, side), so one walk until the first repeat
+    fixes the row: a preperiod P_i (at least 1, for t^0) and a period L_i.
     More than CAPS["m"] turning points, or N above CAPS["N"], is refused
     with a ValueError before any word is built.
     """
@@ -146,18 +159,17 @@ def kneading_matrix(model: PLModel) -> KneadingData:
     n = model.n
 
     def step(state):
-        point, side, sign = state
-        s = shape[_sided_lap(turning, n, point, side)]
-        return model(point), side * s, sign * s
+        point, side = state
+        return model(point), side * shape[_sided_lap(turning, n, point, side)]
 
-    walks = [eventual_path(step, (c, 1, 1)) for c in turning]
+    walks = [eventual_path(step, (c, 1)) for c in turning]
     periods = tuple((max(start, 1), len(path) - start) for path, start in walks)
     total = sum(p + k for p, k in periods)
     if len(turning) > CAPS["m"]:
         raise ValueError("%d turning points, capped at %d" % (len(turning), CAPS["m"]))
     if total > CAPS["N"]:
         raise ValueError("N = sum of preperiods and periods = %d, capped at %d" % (total, CAPS["N"]))
-    terms = [[(_sided_lap(turning, n, point, side), 2 * sign) for point, side, sign in path] for path, _ in walks]
+    terms = [[(_sided_lap(turning, n, point, side), 2 * side) for point, side in path] for path, _ in walks]
     # a walk back to its start (start 0) moves t^0 to the end of the word
     words = tuple(tuple((t + t[start:])[1 : p + k]) for t, (_, start), (p, k) in zip(terms, walks, periods))
     return KneadingData(shape, words, periods)
@@ -186,32 +198,22 @@ def kneading_rational(model: PLModel) -> RationalFn:
 
 
 def _check_rows(kd: KneadingData) -> None:
-    """Raise unless every row i has sum_j nu_ij(t) (1 - s_j t) = 0: its t^1
-    coefficient is c_1 - s_i + s_{i-1} and its t^n one c_n - s_{lap_{n-1}} c_{n-1},
-    so it holds everywhere if it holds through the wrap at t^(P_i + L_i)."""
-    for i, (word, (p, _)) in enumerate(zip(kd.words, kd.periods), start=1):
-        prev = kd.shape[i] - kd.shape[i - 1]
-        for lap, c in (*word, word[p - 1]):
-            if c != prev:
-                raise KneadingError("row %d breaks the Milnor-Thurston identity" % i)
-            prev = kd.shape[lap] * c
+    """Raise unless every row i has sum_j nu_ij(t) (1 - s_j t) = 0: its t^0
+    coefficient is 1 - 1, and its t^n one, sum_j (nu_ij[n] - s_j nu_ij[n-1]),
+    repeats with period L_i past t^(P_i), so t^1..t^(P_i + L_i) decide it."""
+    for i, (p, k) in enumerate(kd.periods, start=1):
+        row = _row(kd, i, p + k + 1)
+        if any(sum(e[n] - s * e[n - 1] for e, s in zip(row, kd.shape)) for n in range(1, p + k + 1)):
+            raise KneadingError("row %d breaks the Milnor-Thurston identity" % i)
 
 
 def _rational_determinant(kd: KneadingData) -> RationalFn:
     _check_rows(kd)
     order = sum(p + k - 1 for p, k in kd.periods)
-    den, rows = (1,), []
-    for i, (word, (p, k)) in enumerate(zip(kd.words, kd.periods), start=1):
+    den = (1,)
+    for _, k in kd.periods:
         den = poly_mul(den, (1,) + (0,) * (k - 1) + (-1,))
-        row = [[0] * (p + k) for _ in kd.shape]
-        row[i][0], row[i - 1][0] = 1, -1
-        for n, (lap, c) in enumerate(word, start=1):
-            row[lap][n] = c
-        # times 1 - t^k, from the top down: the word repeats with period k from t^p
-        for e in row:
-            for n in reversed(range(k, p + k)):
-                e[n] -= e[n - k]
-        rows.append([TruncSeries.from_coeffs(e, order) for e in row[1:]])
+    rows = [[TruncSeries.from_coeffs(e, order) for e in _numerators(kd, i)[1:]] for i in range(1, kd.modality + 1)]
     num, rem = poly_divmod(series_matrix_det(rows).coeffs, (1, -kd.shape[0]))
     if rem:
         raise KneadingError("the minor is not divisible by 1 - s_0 t")
@@ -279,18 +281,13 @@ def vu_structure_check(model: PLModel, dominant_row: int) -> VUStructureReport:
     j = dominant_row
     if not (1 <= j <= kd.modality):
         raise ValueError("dominant row out of range")
-    # the laps of each row's cycle, t^(P_i) on
-    cycles = [word[p - 1 :] for word, (p, _) in zip(kd.words, kd.periods)]
-    rows_ok = all(lap in (j - 1, j) for i, laps in enumerate(cycles, start=1) if i != j for lap, _ in laps)
-
-    # entry (j, j) through t^(P_j + L_j - 1): 1 at t^0, then c_n wherever lap_n = j
-    p = kd.periods[j - 1][0]
-    entry = [1, *(c if lap == j else 0 for lap, c in kd.words[j - 1])]
-    pivot = rational_from_eventually_periodic(entry[:p], entry[p:])
-    # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t);
-    # its quotient by the pivot, reduced, must have denominator 1
-    det = _rational_determinant(kd)
-    factors_ok = pivot.at_zero() != 0 and RationalFn(
-        poly_mul(poly_mul(det.num, (1, -kd.shape[j - 1])), pivot.den), poly_mul(det.den, pivot.num)
-    ).den == (1,)
+    # each other row's cycle, t^(P_i) on, outside columns j-1 and j
+    rows = ((_row(kd, i, p + k), p) for i, (p, k) in enumerate(kd.periods, start=1) if i != j)
+    rows_ok = not any(any(e[p:]) for row, p in rows for col, e in enumerate(row) if col not in (j - 1, j))
+    # the determinant after deleting column j-1 is +-D(t)(1 - s_{j-1} t), and
+    # the pivot is N_jj / (1 - t^(L_j)), N_jj(0) = 1: the quotient is a
+    # polynomial when D.den N_jj divides D.num (1 - s_{j-1} t)(1 - t^(L_j))
+    det, k = _rational_determinant(kd), kd.periods[j - 1][1]
+    top = poly_mul(poly_mul(det.num, (1, -kd.shape[j - 1])), (1,) + (0,) * (k - 1) + (-1,))
+    factors_ok = not poly_divmod(top, poly_mul(det.den, _numerators(kd, j)[j]))[1]
     return VUStructureReport(rows_ok and factors_ok, rows_ok, factors_ok)

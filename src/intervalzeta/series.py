@@ -50,6 +50,7 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     coefficients, so that products and reciprocals run on ints."""
     if all(type(c) is int for c in coeffs):
         return list(coeffs), 1
+    coeffs = [_frac(c) for c in coeffs]
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
@@ -203,8 +204,8 @@ class TruncSeries(Value):
         n = min(self.order, other.order)
         a, da = _scaled(self.coeffs[: n + 1])
         b, db = _scaled(other.coeffs[: n + 1])
-        d = da * db
-        return TruncSeries(n, tuple(_q(c, d) for c in _convolve(a, b, n)))
+        d, out = da * db, _convolve(a, b, n)
+        return TruncSeries(n, tuple(out if d == 1 else (_q(c, d) for c in out)))
 
     __rmul__ = __mul__
 
@@ -215,7 +216,8 @@ class TruncSeries(Value):
         if a0 == 0:
             raise ValueError("series with zero constant term has no reciprocal")
         beta = _quotient_ints([1], a, self.order)
-        return TruncSeries(self.order, tuple(_q(d * x, a0 ** (n + 1)) for n, x in enumerate(beta)))
+        out = beta if d == a0 == 1 else (_q(d * x, a0 ** (n + 1)) for n, x in enumerate(beta))
+        return TruncSeries(self.order, tuple(out))
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 from itertools import product
@@ -47,6 +48,11 @@ class TestCombinatorics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Combinatorics((0, 5, 1))
+
+    @pytest.mark.parametrize("entry", [1.5, Q(3, 2), True, 1.0], ids=repr)
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(ValueError, match=r"^entry %s at position 1 is out of \{0..2\}$" % re.escape(repr(entry))):
+            Combinatorics((0, entry, 0))
 
     def test_rejects_short(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from tests_support import (
     assert_exact,
     laplace_det,
     rational_fn_fields,
+    rows_break_identity,
     unimodal_eps,
     vu_structure_fields,
 )
@@ -204,6 +205,37 @@ class TestRowIdentity:
         assert kd.periods == ((2, 1),)
         with pytest.raises(KneadingError, match="row 1 breaks the Milnor-Thurston identity"):
             _rational_determinant(kd._replace(periods=((1, 2),)))
+
+    @given(st.integers(1, 4).flatmap(lambda m: pm_rhos(m, 9)), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_corrupted_words_break_the_identity_as_the_recurrence_says(self, rho, data):
+        # one corruption of a true matrix: a term's sign flipped, a term moved
+        # to another lap, or the cycle start moved by one within the word
+        kd = kneading_matrix(pl_model(rho))
+        assert rows_break_identity(kd) is None
+        i = data.draw(st.integers(1, kd.modality))
+        words, periods = list(kd.words), list(kd.periods)
+        (p, k), word = periods[i - 1], list(words[i - 1])
+        shifts = [d for d in (1, -1) if 1 <= p + d and 1 <= k - d]
+        kind = data.draw(st.sampled_from(["sign", "lap", "period"] if shifts else ["sign", "lap"]))
+        if kind == "period":
+            d = data.draw(st.sampled_from(shifts))
+            periods[i - 1] = (p + d, k - d)
+        else:
+            n = data.draw(st.integers(0, len(word) - 1))
+            lap, c = word[n]
+            if kind == "sign":
+                word[n] = (lap, -c)
+            else:
+                word[n] = (data.draw(st.integers(0, kd.modality).filter(lambda x: x != lap)), c)
+            words[i - 1] = tuple(word)
+        bad = kd._replace(words=tuple(words), periods=tuple(periods))
+        broken = rows_break_identity(bad)
+        if broken is None:
+            _rational_determinant(bad)
+        else:
+            with pytest.raises(KneadingError, match="^row %d breaks the Milnor-Thurston identity$" % broken):
+                _rational_determinant(bad)
 
     # words that pass the identity fix the unit lower-bidiagonal t^0 part and,
     # by kneading_rational's argument, the divisibility by 1 - s_0 t: the two

@@ -100,6 +100,32 @@ def test_private_names_stay_in_their_module(path):
     assert list(_foreign_private_reads(TREES[path.name])) == []
 
 
+def _attribute_readers(node, attr, scope=()):
+    """The qualified name of the function or class body around each read of
+    `.attr` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_readers(child, attr, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
+            yield ".".join(scope)
+        yield from _attribute_readers(child, attr, scope)
+
+
+def test_kneading_words_have_one_reader():
+    # the layout of a row's word (t^0 implied, period L_i from t^(P_i)) is
+    # decoded in one place; a new row source only writes words
+    readers = {"%s.%s" % (path.stem, name) for path in SOURCES
+               for name in _attribute_readers(TREES[path.name], "words")}
+    assert readers == {"kneading._row", "kneading.KneadingData.modality"}
+
+
+def test_attribute_readers_are_found():
+    tree = ast.parse("class K:\n    def f(self):\n        return self.words\n"
+                     "def g(kd):\n    kd.words = 1\n    return [w for w in kd.words]\n")
+    assert list(_attribute_readers(tree, "words")) == ["K.f", "g"]
+
+
 def test_foreign_private_reads_are_found():
     tree = ast.parse("from . import fibmap as fm\nfrom .series import _scaled, poly_mul\nfrom ._value import Value\n"
                      "x = fm._CAP + fm.PUBLIC\ny = fm.__name__\n")

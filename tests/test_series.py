@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as Q
 from itertools import permutations
 
@@ -9,6 +10,7 @@ import tests_support as ref
 from intervalzeta import series
 from intervalzeta.combinatorics import generate_vu, pl_model
 from intervalzeta.kneading import kneading_matrix
+from intervalzeta.zeta import mt_relation_check
 from intervalzeta.series import (
     RationalFn,
     TruncSeries,
@@ -484,3 +486,36 @@ class TestCoefficientTypes:
         for p in factors:
             peeled = ref.poly_mul(peeled, (1,) + (0,) * (p - 1) + (-1,))
         ref.assert_exact(residual, ref.poly_divmod(poly, peeled)[0])
+
+
+# rationals that a float, a string and a Decimal all spell exactly
+dyadics = st.builds(lambda n, k: Q(n, 2**k), st.integers(-16, 16), st.integers(0, 3))
+dyadic_polys = st.lists(dyadics, max_size=6)
+SPELLINGS = (float, str, lambda x: Decimal(float(x)))
+
+
+class TestCoefficientSpellings:
+    """Coefficients go in as anything Fraction reads exactly, with the result
+    of the equal Fractions."""
+
+    @given(st.sampled_from(SPELLINGS), dyadic_polys, dyadic_polys.filter(any), st.lists(st.integers(1, 3), max_size=3))
+    @settings(max_examples=80)
+    def test_spelled_coefficients_read_as_fractions(self, spell, p, q, exponents):
+        def spelled(poly):
+            return tuple(map(spell, poly))
+
+        for f in (poly_mul, poly_compose):
+            ref.assert_exact(f(spelled(p), spelled(q)), f(p, q))
+        for got, want in zip(poly_divmod(spelled(p), spelled(q)), poly_divmod(p, q)):
+            ref.assert_exact(got, want)
+        for f, a, b in ((RationalFn, q, (1, *p)), (rational_from_eventually_periodic, p, q)):
+            got, want = f(spelled(a), spelled(b)), f(a, b)
+            ref.assert_exact(got.num, want.num)
+            ref.assert_exact(got.den, want.den)
+        # zeta = num / (num Phi) with D = 1 gives Phi back, peeled
+        num, phi, one = (1, *p), (1,), RationalFn((1,), (1,))
+        for e in exponents:
+            phi = poly_mul(phi, (1,) + (0,) * (e - 1) + (-1,))
+        den = poly_mul(num, phi)
+        want = mt_relation_check(num, den, one)
+        assert mt_relation_check(spelled(num), spelled(den), one) == want == sorted(exponents)

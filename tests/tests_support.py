@@ -2,7 +2,8 @@
 plain-Fraction reference implementations of the integer series kernels, the
 Laplace expansion that series_matrix_det replaced, the unimodal sign
 sequence, per-column determinants and VU structure fields read off the
-expanded matrix that the kneading tests compare against, the closed form
+expanded matrix that the kneading tests compare against, the lap-by-lap
+row identity check on the kneading words, the closed form
 of the virtually unimodal family, the five-condition virtually-unimodal
 test, Phi built as the reciprocal of zeta D, the exact
 tent-map references of the Fibonacci bisection, the scan of every (period,
@@ -161,6 +162,20 @@ def vu_structure_fields(model: PLModel, j: int) -> tuple[bool, bool]:
         poly_mul(poly_mul(det.num, (1, -kd.shape[j - 1])), pivot.den), poly_mul(det.den, pivot.num)
     ).den == (1,)
     return rows_ok, factors_ok
+
+
+def rows_break_identity(kd: KneadingData) -> int | None:
+    """The first row i that breaks sum_j nu_ij(t) (1 - s_j t) = 0, by the
+    recurrence on its word that the check on the row's coefficients
+    replaced: the t^1 coefficient is c_1 - s_i + s_{i-1} and the t^n one
+    c_n - s_{lap_{n-1}} c_{n-1}, checked through the wrap at t^(P_i + L_i)."""
+    for i, (word, (p, _)) in enumerate(zip(kd.words, kd.periods), start=1):
+        prev = kd.shape[i] - kd.shape[i - 1]
+        for lap, c in (*word, word[p - 1]):
+            if c != prev:
+                return i
+            prev = kd.shape[lap] * c
+    return None
 
 
 # ---------------------------------------------------------------------------
