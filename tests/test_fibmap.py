@@ -25,6 +25,7 @@ from tests_support import (
     PAPER_M_LABELS,
     addresses,
     bench_argvs,
+    dyadic_orbit_by_division,
     parity_lex_cmp,
     structure_checks_pairwise,
     tent_map,
@@ -83,12 +84,16 @@ def exact_builds(monkeypatch):
     return builds
 
 
-# slopes in (1, 2]: bisection-like dyadic mids, general rationals, and the
-# pinned slopes, whose closest returns hold through their depth
+# slopes in (1, 2]: bisection-like dyadic mids, general rationals, slopes
+# p / (2^k m) with odd m, whose steps both shift and divide, at the 366 bits
+# of the depth-12 slope and beyond, and the pinned slopes, whose closest
+# returns hold through their depth
 slopes = st.one_of(
     st.sampled_from([Q(row[0]) for row in PINNED_LAMBDAS.values()]),
     st.integers(1, 64).flatmap(lambda j: st.integers(1, 2**j).map(lambda n: Q(2**j + n, 2**j))),
     st.fractions(min_value=1, max_value=2, max_denominator=10**6).filter(lambda lam: lam > 1),
+    st.builds(lambda k, m: m << k, st.integers(0, 400), st.integers(0, 49).map(lambda i: 2 * i + 1))
+    .flatmap(lambda q: st.integers(1, q).map(lambda n: Q(q + n, q))),
 )
 
 
@@ -146,6 +151,12 @@ class TestTentOrbit:
     def test_tent_map_domain(self):
         with pytest.raises(ValueError):
             tent_map(Q(3, 2), Q(2))
+
+    def test_rejects_negative_length(self):
+        assert TentOrbit(Q(3, 2), 0).point(0) == Q(1, 2)
+        for length in (-1, -2, -100):
+            with pytest.raises(ValueError, match="length must be >= 0"):
+                TentOrbit(Q(3, 2), length)
 
 
 class TestFindLambda:
@@ -235,6 +246,14 @@ class TestCertifiedOrbit:
         for n, (lo, hi) in enumerate(enclosures):
             assert Q(lo, 2**frac_bits) <= orb.point(n) <= Q(hi, 2**frac_bits), n
 
+    @given(slopes, st.integers(1, 500))
+    @settings(max_examples=150)
+    def test_enclosures_match_long_division(self, lam, frac_bits):
+        # the shift by the power-of-two part of q, then the division by its
+        # odd part, gives the integers that dividing by q gives
+        assert (list(islice(fibmap._dyadic_orbit(lam, frac_bits), 100))
+                == list(islice(dyadic_orbit_by_division(lam, frac_bits), 100)))
+
     @given(slopes, st.integers(1, 60), st.integers(0, 60), st.integers(1, 7), st.integers(1, 130))
     @settings(max_examples=150)
     def test_kneading_cmp_matches_exact(self, lam, m, flip_at, depth, frac_bits):
@@ -279,6 +298,12 @@ class TestOrbitOrder:
 
     def test_fails_at_generic_slope(self):
         assert not orbit_order_holds(Q(19, 10), 6)
+
+    def test_rejects_negative_kmax(self):
+        assert orbit_order_holds(Q(19, 10), 0)
+        for k_max in (-1, -2, -3, -10):
+            with pytest.raises(ValueError, match="k_max must be >= 0"):
+                orbit_order_holds(Q(19, 10), k_max)
 
 
 class TestIntervalFamilies:

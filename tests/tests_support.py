@@ -6,7 +6,8 @@ expanded matrix that the kneading tests compare against, the lap-by-lap
 row identity check on the kneading words, the closed form
 of the virtually unimodal family, the five-condition virtually-unimodal
 test, Phi built as the reciprocal of zeta D, the exact
-tent-map references of the Fibonacci bisection, the scan of every (period,
+tent-map references of the Fibonacci bisection and its enclosure step by
+long division, the scan of every (period,
 preperiod) pair that detect_eventual_periodicity replaced, the all-pairs
 disjointness and structure checks that the sorted sweeps replaced, the
 argv of the benchmark's jobs, and the check of the coefficient types the
@@ -423,6 +424,23 @@ def tent_map(lam: Fraction, x: Fraction) -> Fraction:
     if not (0 <= x <= 1):
         raise ValueError("point outside [0, 1]")
     return lam * min(x, 1 - x)
+
+
+def dyadic_orbit_by_division(lam: Fraction, frac_bits: int):
+    """Enclosures [lo, hi] * 2^-frac_bits of c_0, c_1, ... stepped with two
+    long divisions by the slope's denominator, the step that the shifts of
+    fibmap._dyadic_orbit replaced and must reproduce integer for integer."""
+    p, q = lam.numerator, lam.denominator
+    one = 1 << frac_bits
+    half = one >> 1
+    lo = hi = half
+    while True:
+        yield lo, hi
+        if lo >= half:
+            lo, hi = one - hi, one - lo
+        elif hi > half:
+            lo, hi = min(lo, one - hi), half
+        lo, hi = lo * p // q, -(-hi * p // q)
 
 
 def addresses(orb: TentOrbit, n_from: int, n_to: int) -> list[int]:
